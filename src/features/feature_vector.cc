@@ -12,11 +12,6 @@ void FeatureVector::Set(FeatureId id, FeatureValue value) {
   values_[static_cast<size_t>(id)] = std::move(value);
 }
 
-const FeatureValue& FeatureVector::Get(FeatureId id) const {
-  if (id < 0 || static_cast<size_t>(id) >= values_.size()) return kMissing;
-  return values_[static_cast<size_t>(id)];
-}
-
 double FeatureVector::Density() const {
   if (values_.empty()) return 0.0;
   size_t populated = 0;

@@ -33,7 +33,10 @@ class FeatureVector {
   void Set(FeatureId id, FeatureValue value);
 
   /// Value of feature `id`; a missing FeatureValue if never set.
-  const FeatureValue& Get(FeatureId id) const;
+  const FeatureValue& Get(FeatureId id) const {
+    if (id < 0 || static_cast<size_t>(id) >= values_.size()) return kMissing;
+    return values_[static_cast<size_t>(id)];
+  }
 
   bool IsMissing(FeatureId id) const { return Get(id).is_missing(); }
 

@@ -1,6 +1,7 @@
-#include <cmath>
+#include <algorithm>
 
 #include "fusion/internal.h"
+#include "ml/adam.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -36,20 +37,17 @@ class Projection {
            const std::vector<std::vector<double>>& targets, int epochs,
            double lr, uint64_t seed) {
     CM_CHECK(inputs.size() == targets.size());
-    std::vector<double> mw(w_.size(), 0.0), vw(w_.size(), 0.0);
-    std::vector<double> mb(b_.size(), 0.0), vb(b_.size(), 0.0);
-    const double beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
-    double b1t = 1.0, b2t = 1.0;
+    Adam adam(lr);
+    AdamMoments moments_w(w_.size()), moments_b(b_.size());
     Rng rng(seed);
-    std::vector<double> gw(w_.size()), gb(b_.size());
+    // Batch gradients; the Adam pass consumes (zeroes) them.
+    std::vector<double> gw(w_.size(), 0.0), gb(b_.size(), 0.0);
     const size_t n = inputs.size();
     const size_t batch = 32;
     for (int epoch = 0; epoch < epochs; ++epoch) {
       const auto perm = rng.Permutation(n);
       for (size_t start = 0; start < n; start += batch) {
         const size_t end = std::min(n, start + batch);
-        std::fill(gw.begin(), gw.end(), 0.0);
-        std::fill(gb.begin(), gb.end(), 0.0);
         for (size_t k = start; k < end; ++k) {
           const auto& x = inputs[perm[k]];
           const auto& y = targets[perm[k]];
@@ -62,21 +60,9 @@ class Projection {
           }
         }
         const double scale = 1.0 / static_cast<double>(end - start);
-        b1t *= beta1;
-        b2t *= beta2;
-        const double c1 = 1.0 - b1t, c2 = 1.0 - b2t;
-        for (size_t i = 0; i < w_.size(); ++i) {
-          const double g = gw[i] * scale;
-          mw[i] = beta1 * mw[i] + (1.0 - beta1) * g;
-          vw[i] = beta2 * vw[i] + (1.0 - beta2) * g * g;
-          w_[i] -= lr * (mw[i] / c1) / (std::sqrt(vw[i] / c2) + eps);
-        }
-        for (size_t i = 0; i < b_.size(); ++i) {
-          const double g = gb[i] * scale;
-          mb[i] = beta1 * mb[i] + (1.0 - beta1) * g;
-          vb[i] = beta2 * vb[i] + (1.0 - beta2) * g * g;
-          b_[i] -= lr * (mb[i] / c1) / (std::sqrt(vb[i] / c2) + eps);
-        }
+        adam.NextStep();
+        adam.UpdateAll(&gw, scale, 0.0, &moments_w, &w_);
+        adam.UpdateAll(&gb, scale, 0.0, &moments_b, &b_);
       }
     }
   }

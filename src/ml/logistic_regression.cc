@@ -1,7 +1,10 @@
 #include "ml/logistic_regression.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
+#include "ml/adam.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/random.h"
@@ -17,13 +20,6 @@ double Sigmoid(double z) {
   return e / (1.0 + e);
 }
 
-std::vector<double> PredictAll(const Model& model,
-                               const std::vector<SparseRow>& rows) {
-  std::vector<double> out(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) out[i] = model.Predict(rows[i]);
-  return out;
-}
-
 Result<LogisticRegression> LogisticRegression::Train(
     const Dataset& data, const TrainOptions& options) {
   if (data.empty()) return Status::InvalidArgument("empty training set");
@@ -32,25 +28,33 @@ Result<LogisticRegression> LogisticRegression::Train(
   model.weights_.assign(data.dim, 0.0);
   model.bias_ = 0.0;
 
-  // Adam state (dense; dims here are a few hundred).
-  std::vector<double> m(data.dim, 0.0), v(data.dim, 0.0);
+  // Lazy Adam: a batch steps the bias and, exactly once each, the weights
+  // whose index appears in one of its rows (whatever the entry's value).
+  Adam adam(options.learning_rate);
+  AdamMoments moments(data.dim);
   double mb = 0.0, vb = 0.0;
-  const double beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
-  double beta1_t = 1.0, beta2_t = 1.0;
 
   std::vector<double> grad(data.dim, 0.0);
   std::vector<uint32_t> touched;
+  touched.reserve(data.dim);
+  std::vector<uint8_t> in_batch(data.dim, 0);
 
   // Per-slice partial gradients: each of the kGradSlices fixed batch slices
-  // accumulates into its own dense buffer (+ touched list for sparse
-  // reset), then the partials are folded into `grad` in slice order. The
-  // summation tree depends only on the batch split, so the fitted weights
-  // are bit-identical whether the slices run inline or across workers.
+  // accumulates into its own dense buffer (+ touched list and membership
+  // mark for sparse reset), then the partials are folded into `grad` in
+  // slice order. The summation tree depends only on the batch split, so the
+  // fitted weights are bit-identical whether the slices run inline or
+  // across workers.
   StagePool stage_pool(options.parallel);
   std::vector<std::vector<double>> slice_grad(kGradSlices);
   std::vector<std::vector<uint32_t>> slice_touched(kGradSlices);
+  std::vector<std::vector<uint8_t>> slice_seen(kGradSlices);
   std::vector<double> slice_grad_b(kGradSlices, 0.0);
   for (auto& sg : slice_grad) sg.assign(data.dim, 0.0);
+  // Worst case every feature is touched; the reserve keeps the slice loop
+  // allocation-free.
+  for (auto& st : slice_touched) st.reserve(data.dim);
+  for (auto& seen : slice_seen) seen.assign(data.dim, 0);
 
   Rng rng(options.seed);
   const size_t n = data.size();
@@ -64,11 +68,7 @@ Result<LogisticRegression> LogisticRegression::Train(
                    [&](size_t slice, size_t s_begin, size_t s_end) {
         auto& sg = slice_grad[slice];
         auto& st = slice_touched[slice];
-        st.clear();
-        // Worst case every feature of the slice is touched; reserving the
-        // dense-gradient width keeps the inner loop allocation-free (the
-        // capacity is retained across batches by clear()).
-        st.reserve(sg.size());
+        auto& seen = slice_seen[slice];
         double gb = 0.0;
         for (size_t k = s_begin; k < s_end; ++k) {
           const Example& ex = data.examples[perm[start + k]];
@@ -78,7 +78,10 @@ Result<LogisticRegression> LogisticRegression::Train(
           // Noise-aware CE gradient: (p - soft_target).
           const double g = w * (p - ex.target);
           for (const auto& [idx, val] : ex.x.entries) {
-            if (sg[idx] == 0.0) st.push_back(idx);
+            if (seen[idx] == 0) {
+              seen[idx] = 1;
+              st.push_back(idx);
+            }
             sg[idx] += g * val;
           }
           gb += g;
@@ -86,33 +89,30 @@ Result<LogisticRegression> LogisticRegression::Train(
         slice_grad_b[slice] = gb;
       });
       // Fold partials in fixed slice order; clear them for the next batch.
-      touched.clear();
       double grad_b = 0.0;
       for (size_t slice = 0; slice < kGradSlices; ++slice) {
         for (uint32_t idx : slice_touched[slice]) {
-          if (grad[idx] == 0.0) touched.push_back(idx);
+          if (in_batch[idx] == 0) {
+            in_batch[idx] = 1;
+            touched.push_back(idx);
+          }
           grad[idx] += slice_grad[slice][idx];
           slice_grad[slice][idx] = 0.0;
+          slice_seen[slice][idx] = 0;
         }
+        slice_touched[slice].clear();
         grad_b += slice_grad_b[slice];
       }
-      const double scale = 1.0 / static_cast<double>(end - start);
-      beta1_t *= beta1;
-      beta2_t *= beta2;
-      const double corr1 = 1.0 - beta1_t, corr2 = 1.0 - beta2_t;
+      const double scale = 1.0 / static_cast<double>(batch);
+      adam.NextStep();
       for (uint32_t idx : touched) {
-        const double g = grad[idx] * scale + options.l2 * model.weights_[idx];
+        adam.Update(grad[idx] * scale + options.l2 * model.weights_[idx],
+                    &moments.m[idx], &moments.v[idx], &model.weights_[idx]);
         grad[idx] = 0.0;
-        m[idx] = beta1 * m[idx] + (1.0 - beta1) * g;
-        v[idx] = beta2 * v[idx] + (1.0 - beta2) * g * g;
-        model.weights_[idx] -= options.learning_rate * (m[idx] / corr1) /
-                               (std::sqrt(v[idx] / corr2) + eps);
+        in_batch[idx] = 0;
       }
-      const double gb = grad_b * scale;
-      mb = beta1 * mb + (1.0 - beta1) * gb;
-      vb = beta2 * vb + (1.0 - beta2) * gb * gb;
-      model.bias_ -= options.learning_rate * (mb / corr1) /
-                     (std::sqrt(vb / corr2) + eps);
+      touched.clear();
+      adam.Update(grad_b * scale, &mb, &vb, &model.bias_);
     }
   }
   return model;

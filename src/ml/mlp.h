@@ -32,13 +32,19 @@ class Mlp : public Model {
   size_t num_parameters() const override;
 
  private:
-  /// Forward pass; returns all layer activations (activations[0] unused for
-  /// the sparse input). `acts[l]` is layer l's post-ReLU output.
-  void Forward(const SparseRow& x,
-               std::vector<std::vector<double>>* acts) const;
+  /// Forward pass into the flat workspace `acts` (acts_size_ entries):
+  /// layer l's post-ReLU output follows layer l-1's. Returns the last
+  /// hidden layer's activations (a pointer into `acts`).
+  const double* Forward(const SparseRow& x, double* acts) const;
+  /// Forward into this thread's reused workspace (no per-call allocation);
+  /// the result stays valid until the thread's next call.
+  const double* ForwardScratch(const SparseRow& x) const;
+  /// Output-layer logit of last-hidden-layer activations `last`.
+  double Logit(const double* last) const;
 
   size_t input_dim_ = 0;
   std::vector<int> hidden_;
+  size_t acts_size_ = 0;  ///< Sum of the hidden widths.
   /// weights_[l]: layer l weight matrix. Layer 0 is stored input-major
   /// ([input_dim][h0]) for sparse forward passes; later layers output-major.
   std::vector<std::vector<double>> weights_;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
+#include "ml/adam.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -29,15 +31,14 @@ Result<SoftmaxRegression> SoftmaxRegression::Train(
   model.weights_.assign(K * data.dim, 0.0);
   model.biases_.assign(K, 0.0);
 
-  std::vector<double> mw(model.weights_.size(), 0.0),
-      vw(model.weights_.size(), 0.0);
-  std::vector<double> mb(K, 0.0), vb(K, 0.0);
-  const double beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
-  double b1t = 1.0, b2t = 1.0;
-
+  // Lazy Adam: a batch steps every bias and, exactly once each, the weights
+  // whose feature index appears in one of its rows.
+  Adam adam(options.learning_rate);
+  AdamMoments moments_w(model.weights_.size()), moments_b(K);
   std::vector<double> grad_w(model.weights_.size(), 0.0);
   std::vector<double> grad_b(K, 0.0);
   std::vector<size_t> touched;  // touched weight indices per batch
+  std::vector<uint8_t> in_batch(model.weights_.size(), 0);
 
   Rng rng(options.seed);
   const size_t n = data.examples.size();
@@ -46,8 +47,6 @@ Result<SoftmaxRegression> SoftmaxRegression::Train(
     const auto perm = rng.Permutation(n);
     for (size_t start = 0; start < n; start += options.batch_size) {
       const size_t end = std::min(n, start + options.batch_size);
-      touched.clear();
-      std::fill(grad_b.begin(), grad_b.end(), 0.0);
       for (size_t k = start; k < end; ++k) {
         const MulticlassExample& ex = data.examples[perm[k]];
         // Forward.
@@ -72,30 +71,25 @@ Result<SoftmaxRegression> SoftmaxRegression::Train(
           grad_b[c] += g;
           for (const auto& [idx, val] : ex.x.entries) {
             const size_t w_idx = c * data.dim + idx;
-            if (grad_w[w_idx] == 0.0) touched.push_back(w_idx);
+            if (in_batch[w_idx] == 0) {
+              in_batch[w_idx] = 1;
+              touched.push_back(w_idx);
+            }
             grad_w[w_idx] += g * val;
           }
         }
       }
       const double scale = 1.0 / static_cast<double>(end - start);
-      b1t *= beta1;
-      b2t *= beta2;
-      const double c1 = 1.0 - b1t, c2 = 1.0 - b2t;
+      adam.NextStep();
       for (size_t idx : touched) {
-        const double g = grad_w[idx] * scale + options.l2 * model.weights_[idx];
+        adam.Update(grad_w[idx] * scale + options.l2 * model.weights_[idx],
+                    &moments_w.m[idx], &moments_w.v[idx],
+                    &model.weights_[idx]);
         grad_w[idx] = 0.0;
-        mw[idx] = beta1 * mw[idx] + (1.0 - beta1) * g;
-        vw[idx] = beta2 * vw[idx] + (1.0 - beta2) * g * g;
-        model.weights_[idx] -= options.learning_rate * (mw[idx] / c1) /
-                               (std::sqrt(vw[idx] / c2) + eps);
+        in_batch[idx] = 0;
       }
-      for (size_t c = 0; c < K; ++c) {
-        const double g = grad_b[c] * scale;
-        mb[c] = beta1 * mb[c] + (1.0 - beta1) * g;
-        vb[c] = beta2 * vb[c] + (1.0 - beta2) * g * g;
-        model.biases_[c] -= options.learning_rate * (mb[c] / c1) /
-                            (std::sqrt(vb[c] / c2) + eps);
-      }
+      touched.clear();
+      adam.UpdateAll(&grad_b, scale, 0.0, &moments_b, &model.biases_);
     }
   }
   return model;

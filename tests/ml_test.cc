@@ -1,5 +1,8 @@
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,7 +12,9 @@
 #include "ml/logistic_regression.h"
 #include "ml/metrics.h"
 #include "ml/mlp.h"
+#include "ml/softmax_regression.h"
 #include "ml/trainer.h"
+#include "util/hashing.h"
 #include "util/random.h"
 
 namespace crossmodal {
@@ -386,6 +391,228 @@ TEST(MlpTest, RejectsBadConfig) {
   Dataset empty;
   EXPECT_EQ(Mlp::Train(empty, MlpOptions{}).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+/// Sparse rows over `dim` features with soft targets, varied example
+/// weights, and explicit 0-valued entries (a stored entry whose value is 0).
+Dataset SparseSoftDataset(size_t n, size_t dim, double density,
+                          uint64_t seed) {
+  Dataset data;
+  data.dim = dim;
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    Example ex;
+    for (size_t idx = 0; idx < dim; ++idx) {
+      if (!rng.Bernoulli(density)) continue;
+      const float val =
+          rng.Bernoulli(0.2) ? 0.0f : static_cast<float>(rng.Normal());
+      ex.x.Add(static_cast<uint32_t>(idx), val);
+    }
+    ex.target = static_cast<float>(rng.Uniform());
+    ex.weight = static_cast<float>(rng.Uniform(0.5, 1.5));
+    data.examples.push_back(std::move(ex));
+  }
+  return data;
+}
+
+// Golden regression pin for the MLP training kernel: fitted predictions of
+// fixed-seed runs, hashed exactly. The hashes were recorded from the scalar
+// kernel before it was vectorised; the packed kernels must reproduce every
+// bit at every thread count. Odd widths exercise the packed loops' scalar
+// tails, {7, 3} a dense layer >= 1; 389 rows at batch 32 end on a 5-row
+// batch, fewer rows than gradient slices.
+TEST(MlpTest, GoldenPredictionHash) {
+  const Dataset data = SparseSoftDataset(389, 50, 0.15, 21);
+  struct Case {
+    std::vector<int> hidden;
+    uint64_t hash;
+  };
+  const Case cases[] = {
+      {{32}, 0xAE581D49A8866352ULL},
+      {{5}, 0x92C901BE21814913ULL},
+      {{7, 3}, 0x82E74C76339B1107ULL},
+  };
+  for (const Case& c : cases) {
+    for (size_t threads : {1, 4}) {
+      SCOPED_TRACE("hidden[0]=" + std::to_string(c.hidden[0]) + " layers=" +
+                   std::to_string(c.hidden.size()) +
+                   " threads=" + std::to_string(threads));
+      MlpOptions options;
+      options.hidden = c.hidden;
+      options.train.epochs = 3;
+      options.train.batch_size = 32;
+      options.train.learning_rate = 0.02;
+      options.train.l2 = 1e-3;
+      options.train.positive_weight = 1.5;
+      options.train.seed = 77;
+      options.train.parallel.num_threads = threads;
+      auto model = Mlp::Train(data, options);
+      ASSERT_TRUE(model.ok());
+      std::vector<double> scores;
+      for (const Example& ex : data.examples) {
+        scores.push_back(model->Predict(ex.x));
+      }
+      EXPECT_EQ(HashDoubles(scores), c.hash);
+    }
+  }
+}
+
+// ---------- Lazy Adam reference ---------------------------------------------
+
+/// The one Adam rule every trainer applies, written out for the references.
+struct RefAdam {
+  double corr1 = 0.0, corr2 = 0.0;
+  double b1t = 1.0, b2t = 1.0;
+  void NextStep() {
+    b1t *= 0.9;
+    b2t *= 0.999;
+    corr1 = 1.0 - b1t;
+    corr2 = 1.0 - b2t;
+  }
+  void Update(double lr, double g, double* m, double* v, double* p) const {
+    *m = 0.9 * *m + (1.0 - 0.9) * g;
+    *v = 0.999 * *v + (1.0 - 0.999) * g * g;
+    *p -= lr * (*m / corr1) / (std::sqrt(*v / corr2) + 1e-8);
+  }
+};
+
+// Lazy Adam steps each weight whose index appears in the batch exactly once
+// per batch, whatever the entry's value. A 0-valued entry leaves the
+// accumulated gradient at 0, which must not make its index count twice.
+TEST(LazyAdamTest, LogisticRegressionStepsEachPresentIndexOnce) {
+  const Dataset data = SparseSoftDataset(44, 6, 0.8, 31);
+  TrainOptions options;
+  options.epochs = 3;
+  options.batch_size = 8;
+  options.positive_weight = 2.0;
+  options.l2 = 1e-2;
+  auto model = LogisticRegression::Train(data, options);
+  ASSERT_TRUE(model.ok());
+
+  std::vector<double> w(data.dim, 0.0), m(data.dim, 0.0), v(data.dim, 0.0);
+  double b = 0.0, mb = 0.0, vb = 0.0;
+  RefAdam adam;
+  Rng rng(options.seed);
+  const size_t n = data.size();
+  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+    const auto perm = rng.Permutation(n);
+    for (size_t start = 0; start < n; start += options.batch_size) {
+      const size_t end = std::min(n, start + options.batch_size);
+      std::vector<double> grad(data.dim, 0.0);
+      std::vector<bool> present(data.dim, false);
+      double grad_b = 0.0;
+      for (size_t k = start; k < end; ++k) {
+        const Example& ex = data.examples[perm[k]];
+        double weight = ex.weight;
+        if (ex.target > 0.5) weight *= options.positive_weight;
+        const double g = weight * (Sigmoid(ex.x.Dot(w) + b) - ex.target);
+        for (const auto& [idx, val] : ex.x.entries) {
+          grad[idx] += g * val;
+          present[idx] = true;
+        }
+        grad_b += g;
+      }
+      const double scale = 1.0 / static_cast<double>(end - start);
+      adam.NextStep();
+      for (size_t i = 0; i < data.dim; ++i) {
+        if (!present[i]) continue;
+        adam.Update(options.learning_rate,
+                    grad[i] * scale + options.l2 * w[i], &m[i], &v[i], &w[i]);
+      }
+      adam.Update(options.learning_rate, grad_b * scale, &mb, &vb, &b);
+    }
+  }
+  for (size_t i = 0; i < data.dim; ++i) {
+    EXPECT_NEAR(model->weights()[i], w[i], 1e-12) << "weight " << i;
+  }
+  EXPECT_NEAR(model->bias(), b, 1e-12);
+}
+
+TEST(LazyAdamTest, SoftmaxRegressionStepsEachPresentIndexOnce) {
+  const Dataset binary = SparseSoftDataset(44, 6, 0.8, 32);
+  MulticlassDataset data;
+  data.dim = binary.dim;
+  data.num_classes = 3;
+  Rng target_rng(33);
+  for (const Example& ex : binary.examples) {
+    MulticlassExample mex;
+    mex.x = ex.x;
+    mex.weight = ex.weight;
+    const float a = static_cast<float>(target_rng.Uniform());
+    const float c = static_cast<float>(target_rng.Uniform(0.0, 1.0 - a));
+    mex.target = {a, c, 1.0f - a - c};
+    data.examples.push_back(std::move(mex));
+  }
+  TrainOptions options;
+  options.epochs = 3;
+  options.batch_size = 8;
+  options.l2 = 1e-2;
+  auto model = SoftmaxRegression::Train(data, options);
+  ASSERT_TRUE(model.ok());
+
+  const size_t K = 3;
+  std::vector<double> w(K * data.dim, 0.0), m(w.size(), 0.0),
+      v(w.size(), 0.0);
+  std::vector<double> b(K, 0.0), mb(K, 0.0), vb(K, 0.0);
+  auto logits = [&](const SparseRow& x) {
+    std::vector<double> z(K);
+    for (size_t c = 0; c < K; ++c) {
+      z[c] = b[c];
+      for (const auto& [idx, val] : x.entries) z[c] += w[c * data.dim + idx] * val;
+    }
+    return z;
+  };
+  auto probs_of = [&](const SparseRow& x) {
+    std::vector<double> p = logits(x);
+    const double max_z = std::max({p[0], p[1], p[2]});
+    double total = 0.0;
+    for (double& z : p) {
+      z = std::exp(z - max_z);
+      total += z;
+    }
+    for (double& z : p) z /= total;
+    return p;
+  };
+  RefAdam adam;
+  Rng rng(options.seed);
+  const size_t n = data.examples.size();
+  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+    const auto perm = rng.Permutation(n);
+    for (size_t start = 0; start < n; start += options.batch_size) {
+      const size_t end = std::min(n, start + options.batch_size);
+      std::vector<double> grad(w.size(), 0.0), grad_b(K, 0.0);
+      std::vector<bool> present(w.size(), false);
+      for (size_t k = start; k < end; ++k) {
+        const MulticlassExample& ex = data.examples[perm[k]];
+        const std::vector<double> p = probs_of(ex.x);
+        for (size_t c = 0; c < K; ++c) {
+          const double g = ex.weight * (p[c] - ex.target[c]);
+          grad_b[c] += g;
+          for (const auto& [idx, val] : ex.x.entries) {
+            grad[c * data.dim + idx] += g * val;
+            present[c * data.dim + idx] = true;
+          }
+        }
+      }
+      const double scale = 1.0 / static_cast<double>(end - start);
+      adam.NextStep();
+      for (size_t i = 0; i < w.size(); ++i) {
+        if (!present[i]) continue;
+        adam.Update(options.learning_rate,
+                    grad[i] * scale + options.l2 * w[i], &m[i], &v[i], &w[i]);
+      }
+      for (size_t c = 0; c < K; ++c) {
+        adam.Update(options.learning_rate, grad_b[c] * scale, &mb[c], &vb[c],
+                    &b[c]);
+      }
+    }
+  }
+  for (const MulticlassExample& ex : data.examples) {
+    const std::vector<double> want = probs_of(ex.x);
+    const std::vector<double> got = model->Predict(ex.x);
+    ASSERT_EQ(got.size(), K);
+    for (size_t c = 0; c < K; ++c) EXPECT_NEAR(got[c], want[c], 1e-12);
+  }
 }
 
 // ---------- Trainer / tuner -------------------------------------------------
