@@ -1,169 +1,37 @@
-// Mini MapReduce: the in-process stand-in for the MapReduce framework the
-// paper implements its feature-engineering and LF pipelines on (§6.3).
-//
-// Model: map each input to (key, value) pairs; hash-shuffle by key into
-// shards; reduce each key group. Execution is multi-threaded over a
-// ThreadPool with per-worker emit buffers (no locking on the hot path).
+// The in-process stand-in for the MapReduce framework the paper implements
+// its feature-engineering and LF pipelines on (§6.3). Step A needs only the
+// map side: an order-preserving parallel map over a ThreadPool.
 
 #ifndef CROSSMODAL_DATAFLOW_MAPREDUCE_H_
 #define CROSSMODAL_DATAFLOW_MAPREDUCE_H_
 
 #include <cstddef>
 #include <functional>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "util/logging.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace crossmodal {
 
-/// Collects (key, value) emissions from one mapper, pre-partitioned into
-/// shuffle shards by std::hash of the key.
-template <typename K, typename V>
-class Emitter {
- public:
-  explicit Emitter(size_t num_shards) : shards_(num_shards) {}
-
-  void Emit(K key, V value) {
-    const size_t shard = std::hash<K>{}(key) % shards_.size();
-    shards_[shard].emplace_back(std::move(key), std::move(value));
-  }
-
-  std::vector<std::vector<std::pair<K, V>>>& shards() { return shards_; }
-
- private:
-  std::vector<std::vector<std::pair<K, V>>> shards_;
-};
-
-/// Cumulative execution counters for one MapReduceExecutor.
-struct MapReduceStats {
-  size_t jobs = 0;            ///< Run/ParallelMap invocations completed.
-  size_t records_mapped = 0;  ///< Inputs fed through map functions.
-};
-
-/// Deterministic multi-threaded MapReduce over in-memory collections.
-///
-/// Results are returned grouped by shard then by key insertion order, so a
-/// fixed input yields a fixed output ordering regardless of thread timing
-/// (workers own disjoint input chunks and merge in chunk order).
-///
-/// Thread-safe: concurrent Run/ParallelMap calls share the pool; the stats
-/// counters are mutex-guarded (workers touch only per-chunk state).
+/// Deterministic multi-threaded map over in-memory collections: output i
+/// is fn(inputs[i]) whatever the thread timing. Concurrent ParallelMap
+/// calls share the pool.
 class MapReduceExecutor {
  public:
-  /// `num_workers` threads, shuffling into `num_shards` shards.
-  explicit MapReduceExecutor(size_t num_workers = 4, size_t num_shards = 16)
-      : pool_(num_workers), num_shards_(num_shards) {
-    CM_CHECK(num_shards_ > 0);
-  }
+  explicit MapReduceExecutor(size_t num_workers = 4) : pool_(num_workers) {}
 
-  /// Full map-shuffle-reduce. `map_fn(input, emitter)` runs once per input;
-  /// `reduce_fn(key, values, out)` appends outputs for one key group.
-  template <typename In, typename K, typename V, typename Out>
-  std::vector<Out> Run(
-      const std::vector<In>& inputs,
-      const std::function<void(const In&, Emitter<K, V>*)>& map_fn,
-      const std::function<void(const K&, const std::vector<V>&,
-                               std::vector<Out>*)>& reduce_fn) {
-    // ---- Map phase: one emitter per chunk, chunks processed in parallel.
-    const size_t n = inputs.size();
-    const size_t chunk = ChunkSize(n);
-    const size_t num_chunks = n == 0 ? 0 : (n + chunk - 1) / chunk;
-    std::vector<Emitter<K, V>> emitters;
-    emitters.reserve(num_chunks);
-    for (size_t c = 0; c < num_chunks; ++c) emitters.emplace_back(num_shards_);
-    pool_.ParallelFor(num_chunks, [&](size_t c) {
-      const size_t begin = c * chunk;
-      const size_t end = std::min(n, begin + chunk);
-      for (size_t i = begin; i < end; ++i) map_fn(inputs[i], &emitters[c]);
-    });
-
-    // ---- Shuffle: merge chunk emissions per shard, in chunk order.
-    std::vector<std::vector<std::pair<K, V>>> shard_data(num_shards_);
-    for (auto& emitter : emitters) {
-      for (size_t s = 0; s < num_shards_; ++s) {
-        auto& src = emitter.shards()[s];
-        shard_data[s].insert(shard_data[s].end(),
-                             std::make_move_iterator(src.begin()),
-                             std::make_move_iterator(src.end()));
-      }
-    }
-
-    // ---- Reduce phase: group by key within each shard; shards in parallel.
-    std::vector<std::vector<Out>> shard_out(num_shards_);
-    pool_.ParallelFor(num_shards_, [&](size_t s) {
-      // Group values preserving first-seen key order for determinism.
-      // Capacity is provisioned for the distinct-keys worst case so the
-      // grouping loop performs no rehash/regrow heap traffic.
-      std::unordered_map<K, size_t> key_index;
-      std::vector<K> keys;
-      std::vector<std::vector<V>> groups;
-      key_index.reserve(shard_data[s].size());
-      keys.reserve(shard_data[s].size());
-      groups.reserve(shard_data[s].size());
-      for (auto& kv : shard_data[s]) {
-        auto [it, inserted] = key_index.emplace(kv.first, keys.size());
-        if (inserted) {
-          keys.push_back(kv.first);
-          groups.emplace_back();
-        }
-        groups[it->second].push_back(std::move(kv.second));
-      }
-      for (size_t g = 0; g < keys.size(); ++g) {
-        reduce_fn(keys[g], groups[g], &shard_out[s]);
-      }
-    });
-
-    std::vector<Out> out;
-    for (auto& so : shard_out) {
-      out.insert(out.end(), std::make_move_iterator(so.begin()),
-                 std::make_move_iterator(so.end()));
-    }
-    RecordJob(n);
-    return out;
-  }
-
-  /// Order-preserving parallel map (the degenerate reduce-less job most of
-  /// the feature-generation pipeline uses).
+  /// Order-preserving parallel map.
   template <typename In, typename Out>
   std::vector<Out> ParallelMap(const std::vector<In>& inputs,
                                const std::function<Out(const In&)>& fn) {
     std::vector<Out> out(inputs.size());
     pool_.ParallelFor(inputs.size(),
                       [&](size_t i) { out[i] = fn(inputs[i]); });
-    RecordJob(inputs.size());
     return out;
   }
 
-  size_t num_shards() const { return num_shards_; }
-  ThreadPool& pool() { return pool_; }
-
-  /// Snapshot of the cumulative execution counters.
-  MapReduceStats stats() const CM_LOCKS_EXCLUDED(stats_mu_) {
-    MutexLock lock(&stats_mu_);
-    return stats_;
-  }
-
  private:
-  size_t ChunkSize(size_t n) const {
-    const size_t workers = pool_.num_threads();
-    return std::max<size_t>(1, (n + workers * 4 - 1) / (workers * 4));
-  }
-
-  void RecordJob(size_t records) CM_LOCKS_EXCLUDED(stats_mu_) {
-    MutexLock lock(&stats_mu_);
-    ++stats_.jobs;
-    stats_.records_mapped += records;
-  }
-
   ThreadPool pool_;
-  size_t num_shards_;
-  mutable Mutex stats_mu_{"mapreduce_stats"};
-  MapReduceStats stats_ CM_GUARDED_BY(stats_mu_);
 };
 
 }  // namespace crossmodal

@@ -1,7 +1,5 @@
 #include "io/io_faults.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -76,14 +74,11 @@ size_t IoFaultInjector::CorruptIndex(const std::string& key, size_t n) const {
 
 uint64_t IoFaultInjector::AccountRetryBackoff(const std::string& key,
                                               int attempt) const {
-  // Same capped-exponential-with-jitter shape as RetryingService, keyed by
-  // the IO retry stream.
-  const uint64_t uncapped =
-      config_.base_backoff_us * (1ULL << std::min(attempt, 32));
-  const uint64_t capped = std::min(uncapped, config_.max_backoff_us);
-  Rng rng(DeriveSeed(DeriveSeed(retry_seed_, key.c_str()),
-                     static_cast<uint64_t>(attempt) + 1));
-  const uint64_t backoff = capped / 2 + rng.UniformInt(capped / 2 + 1);
+  // Keyed by the IO retry stream.
+  const uint64_t backoff = JitteredBackoffUs(
+      config_.base_backoff_us, config_.max_backoff_us, attempt,
+      DeriveSeed(DeriveSeed(retry_seed_, key.c_str()),
+                 static_cast<uint64_t>(attempt) + 1));
   retries_.fetch_add(1, std::memory_order_relaxed);
   backoff_us_.fetch_add(backoff, std::memory_order_relaxed);
   return backoff;

@@ -329,13 +329,10 @@ Result<FeatureValue> RetryingService::Call(const Entity& entity,
     const bool retryable = code == StatusCode::kUnavailable ||
                            code == StatusCode::kDeadlineExceeded;
     if (!retryable || k + 1 >= budget) break;
-    // Capped exponential backoff with deterministic jitter in [0.5, 1.0]x.
-    const uint64_t uncapped =
-        policy_.base_backoff_us * (1ULL << std::min(k, 32));
-    const uint64_t capped = std::min(uncapped, policy_.max_backoff_us);
-    Rng rng(DeriveSeed(DeriveSeed(retry_seed_, entity.id),
-                       static_cast<uint64_t>(base + k) + 1));
-    const uint64_t backoff = capped / 2 + rng.UniformInt(capped / 2 + 1);
+    const uint64_t backoff = JitteredBackoffUs(
+        policy_.base_backoff_us, policy_.max_backoff_us, k,
+        DeriveSeed(DeriveSeed(retry_seed_, entity.id),
+                   static_cast<uint64_t>(base + k) + 1));
     if (counters_) {
       counters_->Add(counters_->retries);
       counters_->Add(counters_->backoff_us, backoff);
@@ -394,14 +391,11 @@ Status ServingFaultHook::Probe(EntityId entity, int attempt) const {
 uint64_t ServingFaultHook::AccountRetryBackoff(EntityId entity,
                                                int attempt) const {
   if (!active_) return 0;
-  // Same capped-exponential-with-jitter shape as RetryingService, keyed by
-  // the serving retry stream.
-  const uint64_t uncapped =
-      retry_.base_backoff_us * (1ULL << std::min(attempt, 32));
-  const uint64_t capped = std::min(uncapped, retry_.max_backoff_us);
-  Rng rng(DeriveSeed(DeriveSeed(retry_seed_, entity),
-                     static_cast<uint64_t>(attempt) + 1));
-  const uint64_t backoff = capped / 2 + rng.UniformInt(capped / 2 + 1);
+  // Keyed by the serving retry stream.
+  const uint64_t backoff = JitteredBackoffUs(
+      retry_.base_backoff_us, retry_.max_backoff_us, attempt,
+      DeriveSeed(DeriveSeed(retry_seed_, entity),
+                 static_cast<uint64_t>(attempt) + 1));
   if (counters_) {
     counters_->Add(counters_->retries);
     counters_->Add(counters_->backoff_us, backoff);

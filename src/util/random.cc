@@ -1,5 +1,6 @@
 #include "util/random.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numbers>
@@ -27,6 +28,14 @@ uint64_t DeriveSeed(uint64_t seed, const char* key) {
     h *= 0x100000001B3ULL;
   }
   return DeriveSeed(seed, h);
+}
+
+uint64_t JitteredBackoffUs(uint64_t base_us, uint64_t max_us, int exponent,
+                           uint64_t seed) {
+  const uint64_t capped =
+      std::min<uint64_t>(base_us * (1ULL << std::min(exponent, 32)), max_us);
+  Rng rng(seed);
+  return capped / 2 + rng.UniformInt(capped / 2 + 1);
 }
 
 Rng::Rng(uint64_t seed) {

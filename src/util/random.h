@@ -26,6 +26,13 @@ uint64_t DeriveSeed(uint64_t seed, uint64_t key);
 /// Derives a seed from a seed and a string key (e.g. a service name).
 uint64_t DeriveSeed(uint64_t seed, const char* key);
 
+/// Capped exponential backoff with deterministic jitter: min(base_us <<
+/// exponent, max_us) scaled into [0.5, 1.0]x by one draw from Rng(seed).
+/// Each retry site derives `seed` from its own stream, so sites never share
+/// draws. Shifts saturate at 32.
+uint64_t JitteredBackoffUs(uint64_t base_us, uint64_t max_us, int exponent,
+                           uint64_t seed);
+
 /// Deterministic pseudo-random generator (xoshiro256**).
 ///
 /// Satisfies the UniformRandomBitGenerator concept, so it can also be used

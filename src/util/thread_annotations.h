@@ -47,7 +47,7 @@
   CM_THREAD_ANNOTATION_IMPL(requires_capability(__VA_ARGS__))
 
 /// Short-form alias of CM_EXCLUSIVE_LOCKS_REQUIRED (Abseil's modern
-/// spelling); cmrace's guard-coverage rule accepts either on a method that
+/// spelling); cmcheck's guard-coverage rule accepts either on a method that
 /// writes CM_GUARDED_BY state without taking the lock itself.
 #define CM_REQUIRES(...) \
   CM_THREAD_ANNOTATION_IMPL(requires_capability(__VA_ARGS__))

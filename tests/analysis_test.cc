@@ -1,10 +1,10 @@
-// Unit tests for the tools/analysis/ symbol/field model that backs cmrace
-// and cmlife: capture-list classification, class/field extraction with
-// CM_GUARDED_BY cross-referencing, declaration classification, lock-scope
+// Unit tests for the tools/analysis/ symbol/field model that backs the cmcheck
+// race and life families: capture-list classification, class/field extraction
+// with CM_GUARDED_BY cross-referencing, declaration classification, lock-scope
 // discovery, suppression-marker parsing, and the lifetime model (type
-// ownership, function/local extraction, std::move and loop tracking). The
-// model is token-level by design; these tests pin the conventions it must
-// understand in this codebase's style.
+// ownership, function/local extraction, std::move and loop tracking). The model
+// is token-level by design; these tests pin the conventions it must understand
+// in this codebase's style.
 
 #include <string>
 #include <vector>
@@ -72,6 +72,28 @@ TEST(CaptureListTest, SubscriptAndAttributeAreNotIntroducers) {
   EXPECT_FALSE(analysis::ParseCaptureList(subscript, 2, &caps, &end));
   const std::string attribute = "[[nodiscard]] int F();";
   EXPECT_FALSE(analysis::ParseCaptureList(attribute, 0, &caps, &end));
+}
+
+TEST(CaptureListTest, ParseLambdaFindsParamsAndBodyPastSpecifiers) {
+  const std::string text =
+      "f([&x]<typename T>(T a, int b) mutable -> int { return a; });";
+  analysis::LambdaInfo lambda;
+  ASSERT_TRUE(analysis::ParseLambda(text, 2, &lambda));
+  EXPECT_EQ(lambda.captures.ModeOf("x"), CaptureMode::kByRef);
+  EXPECT_EQ(text.substr(lambda.params_begin,
+                        lambda.params_end - lambda.params_begin + 1),
+            "(T a, int b)");
+  EXPECT_EQ(text[lambda.body_begin], '{');
+  EXPECT_EQ(text[lambda.body_end], '}');
+  EXPECT_FALSE(analysis::ParseLambda("xs[i] = 0;", 2, &lambda));
+}
+
+TEST(FindWordTest, WholeWordsStartingBeforeTheLimit) {
+  const std::string text = "renew new newer new";
+  EXPECT_EQ(analysis::FindWord(text, "new"), 6u);
+  EXPECT_EQ(analysis::FindWord(text, "new", 7), 16u);
+  EXPECT_EQ(analysis::FindWord(text, "new", 7, 16), std::string::npos);
+  EXPECT_EQ(analysis::FindWord(text, "new", 7, 17), 16u);
 }
 
 // ---- CollectClasses / field extraction -------------------------------------

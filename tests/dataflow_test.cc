@@ -1,6 +1,3 @@
-#include <map>
-#include <string>
-
 #include <gtest/gtest.h>
 
 #include "dataflow/feature_generation.h"
@@ -10,67 +7,6 @@
 namespace crossmodal {
 namespace {
 
-TEST(MapReduceTest, WordCount) {
-  MapReduceExecutor executor(4, 8);
-  const std::vector<std::string> docs = {"a b a", "b c", "a"};
-  std::function<void(const std::string&, Emitter<std::string, int>*)> map_fn =
-      [](const std::string& doc, Emitter<std::string, int>* emitter) {
-        size_t start = 0;
-        while (start < doc.size()) {
-          size_t end = doc.find(' ', start);
-          if (end == std::string::npos) end = doc.size();
-          if (end > start) emitter->Emit(doc.substr(start, end - start), 1);
-          start = end + 1;
-        }
-      };
-  std::function<void(const std::string&, const std::vector<int>&,
-                     std::vector<std::pair<std::string, int>>*)>
-      reduce_fn = [](const std::string& word, const std::vector<int>& counts,
-                     std::vector<std::pair<std::string, int>>* out) {
-        int total = 0;
-        for (int c : counts) total += c;
-        out->emplace_back(word, total);
-      };
-  const auto result = executor.Run(docs, map_fn, reduce_fn);
-  std::map<std::string, int> counts(result.begin(), result.end());
-  EXPECT_EQ(counts.at("a"), 3);
-  EXPECT_EQ(counts.at("b"), 2);
-  EXPECT_EQ(counts.at("c"), 1);
-  EXPECT_EQ(counts.size(), 3u);
-}
-
-TEST(MapReduceTest, DeterministicAcrossRuns) {
-  MapReduceExecutor executor(4, 8);
-  std::vector<int> inputs(1000);
-  for (int i = 0; i < 1000; ++i) inputs[i] = i;
-  std::function<void(const int&, Emitter<int, int>*)> map_fn =
-      [](const int& x, Emitter<int, int>* e) { e->Emit(x % 7, x); };
-  std::function<void(const int&, const std::vector<int>&, std::vector<long>*)>
-      reduce_fn = [](const int& /*key*/, const std::vector<int>& vals,
-                     std::vector<long>* out) {
-        long sum = 0;
-        for (int v : vals) sum += v;
-        out->push_back(sum);
-      };
-  const auto r1 = executor.Run(inputs, map_fn, reduce_fn);
-  const auto r2 = executor.Run(inputs, map_fn, reduce_fn);
-  EXPECT_EQ(r1, r2);
-  long total = 0;
-  for (long s : r1) total += s;
-  EXPECT_EQ(total, 999L * 1000 / 2);
-}
-
-TEST(MapReduceTest, EmptyInput) {
-  MapReduceExecutor executor(2, 4);
-  std::function<void(const int&, Emitter<int, int>*)> map_fn =
-      [](const int&, Emitter<int, int>*) {};
-  std::function<void(const int&, const std::vector<int>&, std::vector<int>*)>
-      reduce_fn = [](const int&, const std::vector<int>&, std::vector<int>*) {
-      };
-  const auto result = executor.Run<int, int, int, int>({}, map_fn, reduce_fn);
-  EXPECT_TRUE(result.empty());
-}
-
 TEST(MapReduceTest, ParallelMapPreservesOrder) {
   MapReduceExecutor executor(4);
   std::vector<int> inputs(500);
@@ -79,23 +15,6 @@ TEST(MapReduceTest, ParallelMapPreservesOrder) {
   const auto out = executor.ParallelMap(inputs, fn);
   ASSERT_EQ(out.size(), 500u);
   for (int i = 0; i < 500; ++i) EXPECT_EQ(out[static_cast<size_t>(i)], i * i);
-}
-
-TEST(MapReduceTest, MapperCanEmitMultiplePairs) {
-  MapReduceExecutor executor(2, 4);
-  const std::vector<int> inputs = {1, 2, 3};
-  std::function<void(const int&, Emitter<int, int>*)> map_fn =
-      [](const int& x, Emitter<int, int>* e) {
-        for (int k = 0; k < x; ++k) e->Emit(0, 1);
-      };
-  std::function<void(const int&, const std::vector<int>&, std::vector<int>*)>
-      reduce_fn = [](const int&, const std::vector<int>& vals,
-                     std::vector<int>* out) {
-        out->push_back(static_cast<int>(vals.size()));
-      };
-  const auto result = executor.Run(inputs, map_fn, reduce_fn);
-  ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0], 6);
 }
 
 TEST(FeatureGenerationTest, MaterializesAllEntities) {

@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -15,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "dataflow/mapreduce.h"
 #include "util/mutex.h"
 #include "util/thread_pool.h"
 
@@ -188,18 +186,6 @@ TEST(MutexTest, GuardsCounterAcrossThreads) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(counter, 4000);
-}
-
-TEST(MapReduceStatsTest, CountsJobsAndRecords) {
-  MapReduceExecutor executor(/*num_workers=*/4, /*num_shards=*/8);
-  std::vector<int> inputs(123);
-  std::iota(inputs.begin(), inputs.end(), 0);
-  const auto doubled = executor.ParallelMap<int, int>(
-      inputs, [](const int& v) { return v * 2; });
-  EXPECT_EQ(doubled.size(), inputs.size());
-  const MapReduceStats stats = executor.stats();
-  EXPECT_EQ(stats.jobs, 1u);
-  EXPECT_EQ(stats.records_mapped, 123u);
 }
 
 }  // namespace

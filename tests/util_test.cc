@@ -1,6 +1,8 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -236,6 +238,22 @@ TEST(RngTest, GeometricCountCapped) {
   for (int i = 0; i < 200; ++i) {
     EXPECT_LE(rng.GeometricCount(0.99, 5), 5);
   }
+}
+
+TEST(RngTest, JitteredBackoffPinsValues) {
+  // min(1000 << k, 50000) scaled into [0.5, 1]x by one draw. The retry
+  // accounting of services, serving and IO hashes these values, so any
+  // change to the formula or the draw shows here first.
+  const std::vector<std::pair<int, uint64_t>> expected = {
+      {0, 740},   {1, 1929},   {2, 3360},  {3, 5073},
+      {5, 31008}, {6, 26980}, {40, 28044}};
+  for (const auto& [k, backoff] : expected) {
+    EXPECT_EQ(JitteredBackoffUs(1000, 50000, k,
+                                DeriveSeed(7, static_cast<uint64_t>(k))),
+              backoff)
+        << "exponent " << k;
+  }
+  EXPECT_EQ(JitteredBackoffUs(0, 50000, 3, 99), 0u);
 }
 
 // ---------- ThreadPool ------------------------------------------------------

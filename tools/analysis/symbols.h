@@ -1,13 +1,13 @@
 // Lightweight C++ symbol/field model for the static-analysis tools.
 //
-// cmrace's rules need facts a single regex cannot carry: which classes own
-// a Mutex, which fields carry CM_GUARDED_BY and with which capability, what
-// a lambda's capture list says about a written name, whether a declaration
-// is const / std::atomic. This module extracts those facts from the same
-// stripped text the token rules scan — it is a token-level *model*, not a
-// parser: good enough to cross-reference names within this codebase's
-// style, and deliberately conservative where real C++ would need overload
-// or template resolution.
+// The race family's rules need facts a single regex cannot carry: which classes
+// own a Mutex, which fields carry CM_GUARDED_BY and with which capability, what
+// a lambda's capture list says about a written name, whether a declaration is
+// const / std::atomic. This module extracts those facts from the same stripped
+// text the token rules scan — it is a token-level *model*, not a parser: good
+// enough to cross-reference names within this codebase's style, and
+// deliberately conservative where real C++ would need overload or template
+// resolution.
 
 #ifndef CROSSMODAL_TOOLS_ANALYSIS_SYMBOLS_H_
 #define CROSSMODAL_TOOLS_ANALYSIS_SYMBOLS_H_
@@ -101,6 +101,21 @@ struct CaptureList {
 bool ParseCaptureList(const std::string& text, size_t open, CaptureList* out,
                       size_t* intro_end);
 
+/// One lambda expression: its captures, parameter list and body.
+struct LambdaInfo {
+  CaptureList captures;
+  size_t params_begin = std::string::npos;  ///< '(' or npos when omitted.
+  size_t params_end = std::string::npos;    ///< Matching ')' or npos.
+  size_t body_begin = 0;                    ///< '{' of the body.
+  size_t body_end = 0;                      ///< Matching '}'.
+};
+
+/// Parses the lambda whose capture list opens at `open`: captures, an
+/// optional template parameter list, an optional parameter list, and the
+/// body (the first '{' after the parameters, past any specifiers). False
+/// when `open` does not start a lambda or the text is unbalanced.
+bool ParseLambda(const std::string& text, size_t open, LambdaInfo* out);
+
 /// Declaration classification of `name`, resolved by scanning every
 /// declaration-shaped line of `stripped_text`. Name-level (not scoped):
 /// when the same name is declared twice the flags are OR-ed, which keeps
@@ -132,7 +147,7 @@ std::vector<LockScope> CollectLockScopes(const std::string& text,
                                          size_t begin, size_t end);
 
 // ---------------------------------------------------------------------------
-// Lifetime model (cmlife): function bodies, local scopes, view/ownership
+// Lifetime model (the life family): function bodies, local scopes, view/ownership
 // classification of spelled types, and std::move tracking. Token-level like
 // everything above: good enough to cross-reference names within this
 // codebase's style, conservative where real C++ would need full semantics.

@@ -43,3 +43,16 @@ void Fill(Pool& pool, const std::vector<std::string>& names) {
     }
   });
 }
+
+// A reserve() in another function does not provision this slice's buffer.
+void Prepare(std::vector<int>& buf) { buf.reserve(64); }
+
+void Grow(Pool& pool, const std::vector<int>& xs, std::vector<int>& out) {
+  pool.ForEachSlice(xs.size(), 16, [&](std::size_t begin, std::size_t end) {
+    std::vector<int> buf;
+    for (std::size_t i = begin; i < end; ++i) {
+      buf.push_back(xs[i]);
+    }
+    out[begin] = buf.back();
+  });
+}

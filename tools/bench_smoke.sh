@@ -1,90 +1,72 @@
 #!/usr/bin/env bash
-# Bench harness smoke: runs the micro-substrate benches for a single
-# iteration each, then validates the emitted BENCH_micro_substrates.json
-# against the BenchReporter schema with bench_compare --validate — proving
-# the JSON pipeline (emit -> parse -> gate) works end to end without paying
-# for a full benchmark run. When an availability-sweep binary is passed as
-# the 4th argument, also runs a two-point fault-injection sweep at tiny
-# scale and validates its metric-carrying JSON. A serving-tier binary as the
-# 5th argument runs the sharded-serving bench at tiny scale (its internal
-# bit-identity gate doubles as an equivalence check) and validates
-# BENCH_serving_tier.json the same way. A feature-store IO binary as the 6th
-# argument runs the TSV/columnar/mmap round-trip bench at tiny scale (its
-# internal hash gate proves all formats decode bit-identically) and
-# validates BENCH_feature_store_io.json. Registered as the `bench_smoke`
+# Bench harness smoke: runs each bench binary given on the command line once
+# at tiny scale, then validates the BENCH_*.json it emits against the
+# BenchReporter schema with bench_compare --validate and diffs it against
+# itself — proving the JSON pipeline (emit -> parse -> gate) works end to end
+# without paying for a full benchmark run. Registered as the `bench_smoke`
 # ctest test:
 #
-#   tools/bench_smoke.sh <bench_micro_substrates-binary> \
-#       <bench_compare-binary> <output-dir> [<bench_availability-binary>] \
-#       [<bench_serving_tier-binary>] [<bench_feature_store_io-binary>]
+#   tools/bench_smoke.sh <bench_compare-binary> <output-dir> <bench-binary>...
 set -euo pipefail
 
-USAGE="usage: bench_smoke.sh <bench-binary> <compare-binary> <out-dir> [<avail-binary>] [<serving-binary>] [<store-io-binary>]"
-BENCH_BIN=${1:?${USAGE}}
-COMPARE_BIN=${2:?${USAGE}}
-OUT_DIR=${3:?${USAGE}}
-AVAIL_BIN=${4:-}
-SERVING_BIN=${5:-}
-STORE_IO_BIN=${6:-}
-
-JSON="${OUT_DIR}/BENCH_micro_substrates.json"
-rm -f "${JSON}"
-
-echo "== bench_micro_substrates (1 iteration per bench) =="
-# Hot paths only: the kNN / propagation / trainer benches cover every
-# BenchStage field (threads, entities, seed); min_time=0 + repetitions=1
-# keeps this a schema check, not a measurement.
-CM_BENCH_JSON_DIR="${OUT_DIR}" "${BENCH_BIN}" \
-  --benchmark_filter='BM_KnnGraphBuild|BM_LabelPropagation|BM_LogisticRegressionTrain' \
-  --benchmark_min_time=0 --benchmark_repetitions=1
-
-echo "== bench_compare --validate =="
-"${COMPARE_BIN}" --validate "${JSON}"
-
-# The self-compare must pass trivially (every ratio is 1.00x).
-echo "== bench_compare self-diff =="
-"${COMPARE_BIN}" "${JSON}" "${JSON}"
-
-if [[ -n "${AVAIL_BIN}" ]]; then
-  # Two-point availability sweep at tiny scale: exercises the fault
-  # injection + retry + degraded-mode path end to end and proves the
-  # optional per-stage "metric" field round-trips through the validator.
-  AVAIL_JSON="${OUT_DIR}/BENCH_availability_sweep.json"
-  rm -f "${AVAIL_JSON}"
-  echo "== availability sweep (scale 0.05, rates 0 and 0.3) =="
-  CM_BENCH_JSON_DIR="${OUT_DIR}" CM_BENCH_SCALE=0.05 \
-    CM_BENCH_AVAIL_RATES="0,0.3" "${AVAIL_BIN}" --availability-only
-  echo "== bench_compare --validate (availability sweep) =="
-  "${COMPARE_BIN}" --validate "${AVAIL_JSON}"
-  "${COMPARE_BIN}" "${AVAIL_JSON}" "${AVAIL_JSON}"
+USAGE="usage: bench_smoke.sh <compare-binary> <out-dir> <bench-binary>..."
+COMPARE_BIN=${1:?${USAGE}}
+OUT_DIR=${2:?${USAGE}}
+shift 2
+if [[ $# -eq 0 ]]; then
+  echo "${USAGE}"
+  exit 2
 fi
 
-if [[ -n "${SERVING_BIN}" ]]; then
-  # Sharded serving tier at tiny scale: the binary itself fails if any
-  # sharded score diverges bitwise from direct ModelServer scoring, so this
-  # smoke run is both a JSON-schema check and an equivalence gate.
-  SERVING_JSON="${OUT_DIR}/BENCH_serving_tier.json"
-  rm -f "${SERVING_JSON}"
-  echo "== serving tier (scale 0.1, 2 reps) =="
-  CM_BENCH_JSON_DIR="${OUT_DIR}" CM_BENCH_SCALE=0.1 \
-    CM_BENCH_REPS=2 CM_BENCH_WARMUP=0 "${SERVING_BIN}"
-  echo "== bench_compare --validate (serving tier) =="
-  "${COMPARE_BIN}" --validate "${SERVING_JSON}"
-  "${COMPARE_BIN}" "${SERVING_JSON}" "${SERVING_JSON}"
-fi
+# The table: per bench, the environment (`vars`), the arguments, and the
+# JSON file it writes.
+row() {
+  case "$1" in
+    bench_micro_substrates)
+      # Hot paths only: the kNN / propagation / trainer benches cover every
+      # BenchStage field (threads, entities, seed); min_time=0 +
+      # repetitions=1 keeps this a schema check, not a measurement.
+      vars=""
+      args="--benchmark_filter=BM_KnnGraphBuild|BM_LabelPropagation|BM_LogisticRegressionTrain
+            --benchmark_min_time=0 --benchmark_repetitions=1"
+      json=BENCH_micro_substrates.json ;;
+    bench_ablation_resource_quality)
+      # Two-point availability sweep: exercises the fault injection + retry
+      # + degraded-mode path end to end and proves the optional per-stage
+      # "metric" field round-trips through the validator.
+      vars="CM_BENCH_SCALE=0.05 CM_BENCH_AVAIL_RATES=0,0.3"
+      args="--availability-only"
+      json=BENCH_availability_sweep.json ;;
+    bench_serving_tier)
+      # The binary fails if any sharded score diverges bitwise from direct
+      # ModelServer scoring, so this is also an equivalence gate.
+      vars="CM_BENCH_SCALE=0.1 CM_BENCH_REPS=2 CM_BENCH_WARMUP=0"
+      args=""
+      json=BENCH_serving_tier.json ;;
+    bench_feature_store_io)
+      # The binary fails unless the TSV, columnar, and mmap read paths all
+      # hash bit-identically, so this covers the format round trip too.
+      vars="CM_BENCH_SCALE=0.05 CM_BENCH_REPS=2 CM_BENCH_WARMUP=0"
+      args=""
+      json=BENCH_feature_store_io.json ;;
+    *)
+      echo "bench_smoke: no table row for $1"
+      exit 2 ;;
+  esac
+}
 
-if [[ -n "${STORE_IO_BIN}" ]]; then
-  # Feature-store IO at tiny scale: the binary fails unless the TSV,
-  # columnar, and mmap read paths all hash bit-identically, so the smoke
-  # run covers the format round trip as well as the JSON schema.
-  STORE_JSON="${OUT_DIR}/BENCH_feature_store_io.json"
-  rm -f "${STORE_JSON}"
-  echo "== feature-store IO (scale 0.05, 2 reps) =="
-  CM_BENCH_JSON_DIR="${OUT_DIR}" CM_BENCH_SCALE=0.05 \
-    CM_BENCH_REPS=2 CM_BENCH_WARMUP=0 "${STORE_IO_BIN}"
-  echo "== bench_compare --validate (feature-store IO) =="
-  "${COMPARE_BIN}" --validate "${STORE_JSON}"
-  "${COMPARE_BIN}" "${STORE_JSON}" "${STORE_JSON}"
-fi
+for bin in "$@"; do
+  name=$(basename "${bin}")
+  row "${name}"
+  rm -f "${OUT_DIR}/${json}"
+  echo "== ${name} =="
+  # shellcheck disable=SC2086  # vars and args are word lists
+  env CM_BENCH_JSON_DIR="${OUT_DIR}" ${vars} "${bin}" ${args}
+  echo "== bench_compare --validate (${json}) =="
+  "${COMPARE_BIN}" --validate "${OUT_DIR}/${json}"
+  # The self-compare must pass trivially (every ratio is 1.00x).
+  echo "== bench_compare self-diff (${json}) =="
+  "${COMPARE_BIN}" "${OUT_DIR}/${json}" "${OUT_DIR}/${json}"
+done
 
 echo "bench_smoke: OK"

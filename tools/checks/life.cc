@@ -1,4 +1,4 @@
-// cmlife — whole-repo lifetime & view-escape static analyzer.
+// life: whole-repo lifetime & view-escape rules.
 //
 // Four token-level rules over the stripped source tree, built on the
 // tools/analysis scanning library and its lifetime model (function bodies,
@@ -32,33 +32,26 @@
 //                         `// cmlife: move-ok — <why>`.
 //
 // This is the static complement to ASan and the IO fault-injection tests:
-// those catch the dangles a test actually executes; cmlife proves the whole
-// tree follows the zero-copy view discipline without running it. Token-level
-// like its siblings: deliberately conservative — "not provably a frame-local
-// bind" means "do not flag".
+// those catch the dangles a test actually executes; these rules prove the
+// whole tree follows the zero-copy view discipline without running it.
+// Token-level like the other families: deliberately conservative — "not
+// provably a frame-local bind" means "do not flag".
 //
-// Usage:
-//   cmlife --root <repo-root> [--allowlist FILE] [--json] [--fix-hints]
-//   cmlife --self-test --testdata <tools/analysis/testdata>
-//
-// Exit codes: 0 clean, 1 findings (or self-test failure), 2 usage/IO error.
+// The `life` family of cmcheck (see checks/family.h).
 
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <iostream>
 #include <map>
 #include <regex>
 #include <set>
-#include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
-#include "analysis/findings.h"
-#include "analysis/source.h"
-#include "analysis/symbols.h"
 #include "analysis/text.h"
+#include "checks/family.h"
+
+namespace checks {
 
 namespace fs = std::filesystem;
 
@@ -67,6 +60,7 @@ using analysis::CaptureMode;
 using analysis::ClassInfo;
 using analysis::FieldInfo;
 using analysis::Finding;
+using analysis::FindWord;
 using analysis::FunctionInfo;
 using analysis::LocalVar;
 using analysis::MoveUse;
@@ -89,22 +83,6 @@ constexpr char kRuleMove[] = "use-after-move";
 // ---------------------------------------------------------------------------
 // Small token helpers over stripped text.
 // ---------------------------------------------------------------------------
-
-/// Whole-word occurrence of `word` in text[from, limit); npos when none.
-size_t FindWord(const std::string& text, const std::string& word, size_t from,
-                size_t limit) {
-  size_t pos = from;
-  limit = std::min(limit, text.size());
-  while (pos < limit &&
-         (pos = text.find(word, pos)) != std::string::npos && pos < limit) {
-    const bool left_ok = pos == 0 || !analysis::IsIdentChar(text[pos - 1]);
-    const size_t end = pos + word.size();
-    const bool right_ok = end >= text.size() || !analysis::IsIdentChar(text[end]);
-    if (left_ok && right_ok) return pos;
-    pos = end;
-  }
-  return std::string::npos;
-}
 
 /// True when the occurrence at `pos` names the object itself rather than a
 /// same-named member of something else (`world.registry` is not the local
@@ -163,13 +141,8 @@ void Emit(const SourceFile& file, const char* rule, int line,
           std::string message, std::string fix_hint, const char* marker,
           std::vector<Finding>* findings) {
   if (analysis::HasSuppressionNear(file.raw_lines, line, marker)) return;
-  Finding f;
-  f.rule = rule;
-  f.file = file.rel;
-  f.line = line;
-  f.message = std::move(message);
-  f.fix_hint = std::move(fix_hint);
-  findings->push_back(std::move(f));
+  findings->push_back(
+      {rule, file.rel, line, std::move(message), std::move(fix_hint)});
 }
 
 /// The most recent declaration of `name` before `pos` among `locals`
@@ -364,41 +337,6 @@ void CheckViewEscape(
 // Rule 2: deferred-capture-lifetime.
 // ---------------------------------------------------------------------------
 
-/// Locates a lambda's body braces given the offset just past its capture
-/// list's ']' — skips the optional parameter list and specifiers.
-bool LambdaBody(const std::string& text, size_t intro_end, size_t* body_begin,
-                size_t* body_end) {
-  size_t i = analysis::SkipWhitespace(text, intro_end);
-  if (i < text.size() && text[i] == '(') {
-    const size_t close = analysis::MatchingParen(text, i);
-    if (close == std::string::npos) return false;
-    i = analysis::SkipWhitespace(text, close + 1);
-  }
-  // mutable / noexcept / -> ReturnType
-  while (i < text.size() && text[i] != '{') {
-    const char c = text[i];
-    if (analysis::IsIdentChar(c) || c == '-' || c == '>' || c == '&' ||
-        c == '*' || c == ':' || c == '<' || c == ',' ||
-        std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    if (c == '(') {
-      const size_t close = analysis::MatchingParen(text, i);
-      if (close == std::string::npos) return false;
-      i = close + 1;
-      continue;
-    }
-    return false;
-  }
-  if (i >= text.size()) return false;
-  const size_t be = analysis::MatchingBrace(text, i);
-  if (be == std::string::npos) return false;
-  *body_begin = i;
-  *body_end = be;
-  return true;
-}
-
 std::string DeferredHint() {
   return std::string("// ") + kDeferredOk +
          " — <what joins or drains the task before the frame dies>";
@@ -498,23 +436,25 @@ void CheckDeferredCapture(const SourceFile& file,
         if (mode != CaptureMode::kByRef || name == "this") continue;
         if (frame_local(name)) offenders.push_back(name);
       }
-      if (caps.default_by_ref) {
-        size_t lb = 0, le = 0;
-        if (LambdaBody(text, intro_end, &lb, &le)) {
-          auto consider = [&](const std::string& name) {
-            if (caps.named.count(name) > 0) return;  // explicit mode wins
-            if (!frame_local(name)) return;
-            if (FindWord(text, name, lb + 1, le) == std::string::npos) return;
-            if (std::find(offenders.begin(), offenders.end(), name) ==
-                offenders.end()) {
-              offenders.push_back(name);
-            }
-          };
-          for (const LocalVar& v : locals) {
-            if (v.decl_offset < sink.open) consider(v.name);
+      analysis::LambdaInfo lambda;
+      if (caps.default_by_ref &&
+          analysis::ParseLambda(text, sink.open, &lambda)) {
+        auto consider = [&](const std::string& name) {
+          if (caps.named.count(name) > 0) return;  // explicit mode wins
+          if (!frame_local(name)) return;
+          if (FindWord(text, name, lambda.body_begin + 1, lambda.body_end) ==
+              std::string::npos) {
+            return;
           }
-          for (const ParamInfo& p : fn.params) consider(p.name);
+          if (std::find(offenders.begin(), offenders.end(), name) ==
+              offenders.end()) {
+            offenders.push_back(name);
+          }
+        };
+        for (const LocalVar& v : locals) {
+          if (v.decl_offset < sink.open) consider(v.name);
         }
+        for (const ParamInfo& p : fn.params) consider(p.name);
       }
       if (offenders.empty()) continue;
       std::string named = "'" + offenders[0] + "'";
@@ -736,33 +676,9 @@ void CheckUseAfterMove(const SourceFile& file,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Tree analysis driver.
-// ---------------------------------------------------------------------------
-
-struct AnalyzeOptions {
-  fs::path root;
-  fs::path allowlist;  ///< Optional rule:path allowlist.
-};
-
-/// Runs every rule over the tree. Returns 2 on infrastructure errors,
-/// otherwise 0 with findings appended.
-int AnalyzeTree(const AnalyzeOptions& options, std::vector<Finding>* findings,
-                std::ostream& diag) {
-  const std::vector<std::string> kSubdirs = {"src", "tools", "tests", "bench",
-                                             "examples"};
-  std::vector<SourceFile> files;
-  for (const fs::path& path :
-       analysis::ListSourceFiles(options.root, kSubdirs)) {
-    SourceFile file;
-    const std::string rel = fs::relative(path, options.root).generic_string();
-    if (!analysis::LoadSourceFile(path, rel, &file)) {
-      diag << "cmlife: cannot read " << rel << "\n";
-      return 2;
-    }
-    files.push_back(std::move(file));
-  }
-
+// Runs every rule over the tree.
+bool Analyze(const Tree& tree, std::vector<Finding>* findings, std::string*) {
+  const std::vector<SourceFile>& files = tree.files;
   // Cross-file maps: function return ownership (declarations included, so a
   // header prototype is enough) and field classification. Names the tree
   // spells inconsistently are erased — ambiguity means "do not flag".
@@ -771,9 +687,9 @@ int AnalyzeTree(const AnalyzeOptions& options, std::vector<Finding>* findings,
   std::map<std::string, std::set<std::string>> field_kinds;
   std::vector<std::vector<FunctionInfo>> fns_per_file;
   fns_per_file.reserve(files.size());
-  for (const SourceFile& file : files) {
+  for (size_t i = 0; i < files.size(); ++i) {
     std::vector<FunctionInfo> all =
-        analysis::CollectFunctionDefs(file, /*include_decls=*/true);
+        analysis::CollectFunctionDefs(files[i], /*include_decls=*/true);
     for (const FunctionInfo& fn : all) {
       if (fn.return_type.empty() ||
           fn.return_type.find("auto") != std::string::npos) {
@@ -784,7 +700,7 @@ int AnalyzeTree(const AnalyzeOptions& options, std::vector<Finding>* findings,
       const auto [it, inserted] = return_ownership.emplace(fn.name, own);
       if (!inserted && it->second != own) ambiguous_returns.insert(fn.name);
     }
-    for (const ClassInfo& c : analysis::CollectClasses(file)) {
+    for (const ClassInfo& c : tree.classes[i]) {
       for (const FieldInfo& f : c.fields) {
         std::string kind = "other";
         if (analysis::ClassifyTypeOwnership(f.type) == TypeOwnership::kView) {
@@ -821,224 +737,120 @@ int AnalyzeTree(const AnalyzeOptions& options, std::vector<Finding>* findings,
     CheckInvalidatedRefs(file, fns, findings);
     CheckUseAfterMove(file, fns, findings);
   }
-  return 0;
+  return true;
 }
 
 // ---------------------------------------------------------------------------
 // Self-test over the seeded fixture trees in tools/analysis/testdata/cmlife/.
 // ---------------------------------------------------------------------------
 
-int SelfTest(const fs::path& testdata) {
-  int failures = 0;
-  auto expect = [&failures](bool cond, const std::string& what) {
-    if (!cond) {
-      std::cout << "self-test FAIL: " << what << "\n";
-      ++failures;
-    }
-  };
-
-  // Runs one fixture tree and returns its findings as "rule:file:line"
-  // strings plus the raw findings for message checks.
-  struct CaseResult {
-    std::vector<Finding> findings;
-    std::set<std::string> keys;
-    bool ok = false;
-  };
-  auto run_case = [&testdata](const std::string& name) {
-    CaseResult result;
-    AnalyzeOptions options;
-    options.root = testdata / "cmlife" / name;
-    std::ostringstream diag;
-    result.ok = AnalyzeTree(options, &result.findings, diag) == 0;
-    for (const Finding& f : result.findings) {
-      result.keys.insert(f.rule + ":" + f.file + ":" + std::to_string(f.line));
-    }
-    return result;
-  };
+bool SelfTest(const fs::path& testdata) {
+  SelfTestRun t(testdata / "cmlife", &Analyze);
 
   // ---- views: view returns of locals, view-of-temporary binds, and view
   // members bound to parameters fire; static locals, view-returning calls,
   // owned returns, member-to-member binds, suppressed stay quiet. ----------
   {
-    const CaseResult r = run_case("views");
-    expect(r.ok, "views fixture analyzable");
-    expect(r.keys.count("view-escape:src/a.cc:10") == 1,
-           "view return of owning local detected");
-    expect(r.keys.count("view-escape:src/a.cc:16") == 1,
-           "data() pointer return of local vector detected");
-    expect(r.keys.count("view-escape:src/a.cc:21") == 1,
-           "view of owning temporary (cross-file return type) detected");
-    expect(r.keys.count("view-escape:src/a.cc:29") == 1,
-           "view member bound to parameter detected");
+    const FixtureResult r = t.Run("views");
+    t.Expect(r.ok, "views fixture analyzable");
+    t.Expect(r.keys.count("view-escape:src/a.cc:10") == 1,
+             "view return of owning local detected");
+    t.Expect(r.keys.count("view-escape:src/a.cc:16") == 1,
+             "data() pointer return of local vector detected");
+    t.Expect(r.keys.count("view-escape:src/a.cc:21") == 1,
+             "view of owning temporary (cross-file return type) detected");
+    t.Expect(r.keys.count("view-escape:src/a.cc:29") == 1,
+             "view member bound to parameter detected");
     bool hint_ok = false;
     for (const Finding& f : r.findings) {
       if (f.line == 10) {
         hint_ok = f.fix_hint.find(kViewOk) != std::string::npos;
       }
-      expect(f.line != 39 && f.line != 44 && f.line != 51 && f.line != 57 &&
-                 f.line != 68,
-             "static/view-chain/owned/member-bind/suppressed flagged at line " +
-                 std::to_string(f.line));
+      t.Expect(
+          f.line != 39 && f.line != 44 && f.line != 51 && f.line != 57 &&
+              f.line != 68,
+          "static/view-chain/owned/member-bind/suppressed flagged at line " +
+              std::to_string(f.line));
     }
-    expect(hint_ok, "view-escape fix hint spells the suppression marker");
-    expect(r.findings.size() == 4,
-           "views fixture yields exactly 4 findings (got " +
-               std::to_string(r.findings.size()) + ")");
+    t.Expect(hint_ok, "view-escape fix hint spells the suppression marker");
+    t.Expect(r.findings.size() == 4,
+             "views fixture yields exactly 4 findings (got " +
+                 std::to_string(r.findings.size()) + ")");
   }
 
   // ---- deferred: by-ref captures into Submit without Wait, [&] defaults,
   // stored std::function members, and returned lambdas fire; Wait-joined,
   // by-value, and suppressed stay quiet. -----------------------------------
   {
-    const CaseResult r = run_case("deferred");
-    expect(r.ok, "deferred fixture analyzable");
-    expect(r.keys.count("deferred-capture-lifetime:src/a.cc:22") == 1,
-           "by-ref capture into fire-and-forget Submit detected");
-    expect(r.keys.count("deferred-capture-lifetime:src/a.cc:28") == 1,
-           "default [&] capture the task body uses detected");
-    expect(r.keys.count("deferred-capture-lifetime:src/a.cc:34") == 1,
-           "by-ref capture stored into std::function member detected");
-    expect(r.keys.count("deferred-capture-lifetime:src/a.cc:40") == 1,
-           "returned lambda referencing dead frame detected");
+    const FixtureResult r = t.Run("deferred");
+    t.Expect(r.ok, "deferred fixture analyzable");
+    t.Expect(r.keys.count("deferred-capture-lifetime:src/a.cc:22") == 1,
+             "by-ref capture into fire-and-forget Submit detected");
+    t.Expect(r.keys.count("deferred-capture-lifetime:src/a.cc:28") == 1,
+             "default [&] capture the task body uses detected");
+    t.Expect(r.keys.count("deferred-capture-lifetime:src/a.cc:34") == 1,
+             "by-ref capture stored into std::function member detected");
+    t.Expect(r.keys.count("deferred-capture-lifetime:src/a.cc:40") == 1,
+             "returned lambda referencing dead frame detected");
     for (const Finding& f : r.findings) {
-      expect(f.line != 46 && f.line != 53 && f.line != 59 && f.line != 66,
-             "waited/by-value/suppressed capture flagged at line " +
-                 std::to_string(f.line));
+      t.Expect(f.line != 46 && f.line != 53 && f.line != 59 && f.line != 66,
+               "waited/by-value/suppressed capture flagged at line " +
+                   std::to_string(f.line));
     }
-    expect(r.findings.size() == 4,
-           "deferred fixture yields exactly 4 findings (got " +
-               std::to_string(r.findings.size()) + ")");
+    t.Expect(r.findings.size() == 4,
+             "deferred fixture yields exactly 4 findings (got " +
+                 std::to_string(r.findings.size()) + ")");
   }
 
   // ---- invalidate: element reference across push_back, data() across
   // resize, iterator across erase fire; use-before-mutation, the
   // erase-refresh idiom, value copies, and suppressed stay quiet. ----------
   {
-    const CaseResult r = run_case("invalidate");
-    expect(r.ok, "invalidate fixture analyzable");
-    expect(r.keys.count("invalidated-reference:src/a.cc:15") == 1,
-           "element reference used across push_back detected");
-    expect(r.keys.count("invalidated-reference:src/a.cc:22") == 1,
-           "data() pointer used across resize detected");
-    expect(r.keys.count("invalidated-reference:src/a.cc:29") == 1,
-           "map iterator used across erase detected");
+    const FixtureResult r = t.Run("invalidate");
+    t.Expect(r.ok, "invalidate fixture analyzable");
+    t.Expect(r.keys.count("invalidated-reference:src/a.cc:15") == 1,
+             "element reference used across push_back detected");
+    t.Expect(r.keys.count("invalidated-reference:src/a.cc:22") == 1,
+             "data() pointer used across resize detected");
+    t.Expect(r.keys.count("invalidated-reference:src/a.cc:29") == 1,
+             "map iterator used across erase detected");
     for (const Finding& f : r.findings) {
-      expect(f.line != 35 && f.line != 43 && f.line != 50 && f.line != 58,
-             "pre-mutation/refreshed/copied/suppressed use flagged at line " +
-                 std::to_string(f.line));
+      t.Expect(f.line != 35 && f.line != 43 && f.line != 50 && f.line != 58,
+               "pre-mutation/refreshed/copied/suppressed use flagged at line " +
+                   std::to_string(f.line));
     }
-    expect(r.findings.size() == 3,
-           "invalidate fixture yields exactly 3 findings (got " +
-               std::to_string(r.findings.size()) + ")");
+    t.Expect(r.findings.size() == 3,
+             "invalidate fixture yields exactly 3 findings (got " +
+                 std::to_string(r.findings.size()) + ")");
   }
 
   // ---- moves: read-after-move and double-move fire; reassignment,
   // reset(), loop-body moves, return-moves, and suppressed stay quiet. -----
   {
-    const CaseResult r = run_case("moves");
-    expect(r.ok, "moves fixture analyzable");
-    expect(r.keys.count("use-after-move:src/a.cc:16") == 1,
-           "read after move detected");
-    expect(r.keys.count("use-after-move:src/a.cc:23") == 1,
-           "double move detected");
+    const FixtureResult r = t.Run("moves");
+    t.Expect(r.ok, "moves fixture analyzable");
+    t.Expect(r.keys.count("use-after-move:src/a.cc:16") == 1,
+             "read after move detected");
+    t.Expect(r.keys.count("use-after-move:src/a.cc:23") == 1,
+             "double move detected");
     for (const Finding& f : r.findings) {
-      expect(f.line != 31 && f.line != 38 && f.line != 46 && f.line != 53 &&
-                 f.line != 61,
-             "revived/loop/return-move/suppressed read flagged at line " +
-                 std::to_string(f.line));
+      t.Expect(f.line != 31 && f.line != 38 && f.line != 46 && f.line != 53 &&
+                   f.line != 61,
+               "revived/loop/return-move/suppressed read flagged at line " +
+                   std::to_string(f.line));
     }
-    expect(r.findings.size() == 2,
-           "moves fixture yields exactly 2 findings (got " +
-               std::to_string(r.findings.size()) + ")");
+    t.Expect(r.findings.size() == 2,
+             "moves fixture yields exactly 2 findings (got " +
+                 std::to_string(r.findings.size()) + ")");
   }
 
-  if (failures == 0) {
-    std::cout << "cmlife self-test: every rule fires on its seeded fixtures "
-                 "and honors suppressions\n";
-    return 0;
-  }
-  return 1;
+  return t.Finish(
+      "cmlife self-test: every rule fires on its seeded fixtures and honors "
+      "suppressions");
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  fs::path root, allowlist, testdata;
-  bool self_test = false, json = false, fix_hints = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--self-test") {
-      self_test = true;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg == "--fix-hints") {
-      fix_hints = true;
-    } else if (arg == "--root" && i + 1 < argc) {
-      root = argv[++i];
-    } else if (arg == "--allowlist" && i + 1 < argc) {
-      allowlist = argv[++i];
-    } else if (arg == "--testdata" && i + 1 < argc) {
-      testdata = argv[++i];
-    } else {
-      std::cout << "usage: cmlife --root <repo-root> [--allowlist FILE] "
-                   "[--json] [--fix-hints] | --self-test --testdata DIR\n";
-      return 2;
-    }
-  }
+const Family kLife = {"life", &Analyze, &SelfTest};
 
-  if (self_test) {
-    if (testdata.empty()) {
-      std::cout << "cmlife: --self-test requires --testdata "
-                   "<tools/analysis/testdata>\n";
-      return 2;
-    }
-    return SelfTest(testdata);
-  }
-
-  if (root.empty()) {
-    std::cout << "cmlife: --root is required (or use --self-test)\n";
-    return 2;
-  }
-
-  AnalyzeOptions options;
-  options.root = root;
-  if (allowlist.empty()) {
-    const fs::path default_allowlist = root / "tools" / "cmlife_allowlist.txt";
-    if (fs::exists(default_allowlist)) allowlist = default_allowlist;
-  }
-
-  std::vector<Finding> findings;
-  const int rc = AnalyzeTree(options, &findings, std::cout);
-  if (rc != 0) return rc;
-
-  bool allow_ok = true;
-  const std::set<std::string> allow =
-      analysis::LoadAllowlist(allowlist, &allow_ok);
-  if (!allow_ok) {
-    std::cout << "cmlife: cannot read allowlist " << allowlist << "\n";
-    return 2;
-  }
-  analysis::FilteredFindings filtered =
-      analysis::ApplyAllowlist(findings, allow);
-  std::sort(filtered.reported.begin(), filtered.reported.end(),
-            [](const Finding& a, const Finding& b) {
-              return std::tie(a.file, a.line, a.rule) <
-                     std::tie(b.file, b.line, b.rule);
-            });
-
-  if (json) {
-    analysis::PrintFindingsJson("cmlife", filtered.reported, std::cout);
-  } else {
-    analysis::PrintFindings(filtered.reported, fix_hints, std::cout);
-    for (const std::string& entry : filtered.stale) {
-      std::cout << "note: stale allowlist entry (no matching finding): "
-                << entry << "\n";
-    }
-    std::cout << "cmlife: " << filtered.reported.size() << " finding(s)";
-    if (filtered.suppressed > 0) {
-      std::cout << ", " << filtered.suppressed << " allowlisted";
-    }
-    std::cout << "\n";
-  }
-  return filtered.reported.empty() ? 0 : 1;
-}
+}  // namespace checks

@@ -1,4 +1,4 @@
-// cmrace — whole-repo concurrency & hot-path static analyzer.
+// race: whole-repo concurrency & hot-path rules.
 //
 // Four token-level rules over the stripped source tree, built on the
 // tools/analysis scanning library and its C++ symbol/field model:
@@ -27,36 +27,31 @@
 //                         src/. Suppress: `// cmrace: alloc-ok`.
 //
 // This is the static complement to TSan and the runtime lockdep checker:
-// those catch races a test actually executes; cmrace proves the whole tree
-// follows the slice-ownership and annotation discipline without running it.
+// those catch races a test actually executes; these rules prove the whole
+// tree follows the slice-ownership and annotation discipline without running
+// it.
 //
-// Usage:
-//   cmrace --root <repo-root> [--allowlist FILE] [--json] [--fix-hints]
-//   cmrace --self-test --testdata <tools/analysis/testdata>
-//
-// Exit codes: 0 clean, 1 findings (or self-test failure), 2 usage/IO error.
+// The `race` family of cmcheck (see checks/family.h).
 
 #include <algorithm>
 #include <filesystem>
-#include <iostream>
 #include <map>
 #include <regex>
 #include <set>
-#include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
-#include "analysis/findings.h"
-#include "analysis/source.h"
-#include "analysis/symbols.h"
 #include "analysis/text.h"
+#include "checks/family.h"
+
+namespace checks {
 
 namespace fs = std::filesystem;
 
 using analysis::ClassInfo;
 using analysis::FieldInfo;
 using analysis::Finding;
+using analysis::FindWord;
 using analysis::MethodInfo;
 using analysis::SourceFile;
 
@@ -98,6 +93,32 @@ bool IsSubscripted(const std::string& text, size_t name_end) {
   return nx < text.size() && text[nx] == '[';
 }
 
+/// Appends every pre/post increment/decrement in text[begin, end) to `out`;
+/// a subscripted pre-increment (`++slot[c]`) is a slot write, not counted.
+void AppendIncrements(const std::string& text, size_t begin, size_t end,
+                      std::vector<WriteRef>* out) {
+  const std::string body = text.substr(begin, end - begin);
+  static const std::regex kPreIncr(R"((\+\+|--)\s*([A-Za-z_]\w*))");
+  for (auto it = std::sregex_iterator(body.begin(), body.end(), kPreIncr);
+       it != std::sregex_iterator(); ++it) {
+    const size_t op_pos = begin + static_cast<size_t>(it->position(1));
+    if (op_pos > 0 &&
+        (text[op_pos - 1] == '+' || text[op_pos - 1] == '-')) {
+      continue;
+    }
+    const size_t pos = begin + static_cast<size_t>(it->position(2));
+    if (IsSubscripted(text, pos + it->length(2))) continue;
+    out->push_back({(*it)[2].str(), pos});
+  }
+  static const std::regex kPostIncr(R"(([A-Za-z_]\w*)\s*(\+\+|--))");
+  for (auto it = std::sregex_iterator(body.begin(), body.end(), kPostIncr);
+       it != std::sregex_iterator(); ++it) {
+    const size_t pos = begin + static_cast<size_t>(it->position(1));
+    if (!BaseNameOk(text, pos)) continue;
+    out->push_back({(*it)[1].str(), pos});
+  }
+}
+
 /// Collects every write in text[begin, end): assignments and compound
 /// assignments (including member-of-member, e.g. `stats_.jobs += n`),
 /// pre/post increment/decrement, and mutating container/member calls.
@@ -126,26 +147,7 @@ std::vector<WriteRef> ExtractWrites(const std::string& text, size_t begin,
     out.push_back({(*it)[1].str(), pos});
   }
 
-  static const std::regex kPreIncr(R"((\+\+|--)\s*([A-Za-z_]\w*))");
-  for (auto it = std::sregex_iterator(body.begin(), body.end(), kPreIncr);
-       it != std::sregex_iterator(); ++it) {
-    const size_t op_pos = begin + static_cast<size_t>(it->position(1));
-    if (op_pos > 0 &&
-        (text[op_pos - 1] == '+' || text[op_pos - 1] == '-')) {
-      continue;
-    }
-    const size_t pos = begin + static_cast<size_t>(it->position(2));
-    if (IsSubscripted(text, pos + it->length(2))) continue;
-    out.push_back({(*it)[2].str(), pos});
-  }
-
-  static const std::regex kPostIncr(R"(([A-Za-z_]\w*)\s*(\+\+|--))");
-  for (auto it = std::sregex_iterator(body.begin(), body.end(), kPostIncr);
-       it != std::sregex_iterator(); ++it) {
-    const size_t pos = begin + static_cast<size_t>(it->position(1));
-    if (!BaseNameOk(text, pos)) continue;
-    out.push_back({(*it)[1].str(), pos});
-  }
+  AppendIncrements(text, begin, end, &out);
 
   static const std::regex kMutCall(
       R"(([A-Za-z_]\w*)\s*(\.|->)\s*)"
@@ -167,12 +169,8 @@ std::vector<WriteRef> ExtractWrites(const std::string& text, size_t begin,
 // ParallelMap / ForEachSlice / Submit call sites.
 // ---------------------------------------------------------------------------
 
-struct ParallelLambda {
+struct ParallelLambda : analysis::LambdaInfo {
   std::string trigger;  ///< The primitive the lambda is passed to.
-  size_t intro_open;    ///< '[' of the capture list.
-  size_t body_begin;    ///< '{' of the lambda body.
-  size_t body_end;      ///< Matching '}'.
-  analysis::CaptureList captures;
   std::set<std::string> params;  ///< Lambda parameter names.
 };
 
@@ -218,111 +216,34 @@ std::vector<ParallelLambda> FindParallelLambdas(const SourceFile& file,
                         static_cast<size_t>(it->length(0)) - 1;
     const size_t close = analysis::MatchingParen(text, open);
     if (close == std::string::npos) continue;
-    size_t scan = open + 1;
-    while (scan < close) {
+    for (size_t scan = open + 1; scan < close;) {
       const size_t bracket = text.find('[', scan);
       if (bracket == std::string::npos || bracket >= close) break;
       ParallelLambda lambda;
-      size_t intro_end = 0;
-      if (!analysis::ParseCaptureList(text, bracket, &lambda.captures,
-                                      &intro_end)) {
+      if (!analysis::ParseLambda(text, bracket, &lambda) ||
+          lambda.body_begin >= close) {
         scan = bracket + 1;
         continue;
       }
-      size_t i = analysis::SkipWhitespace(text, intro_end);
-      if (i < text.size() && text[i] == '<') {
-        const size_t e = analysis::SkipTemplateArgs(text, i);
-        if (e == std::string::npos) {
-          scan = bracket + 1;
-          continue;
-        }
-        i = analysis::SkipWhitespace(text, e);
-      }
-      if (i < text.size() && text[i] == '(') {
-        const size_t pe = analysis::MatchingParen(text, i);
-        if (pe == std::string::npos) {
-          scan = bracket + 1;
-          continue;
-        }
-        lambda.params = ParseParamNames(text.substr(i + 1, pe - i - 1));
-        i = pe + 1;
-      }
-      const size_t body = text.find('{', i);
-      if (body == std::string::npos || body >= close) {
-        scan = bracket + 1;
-        continue;
-      }
-      const size_t body_end = analysis::MatchingBrace(text, body);
-      if (body_end == std::string::npos) {
-        scan = bracket + 1;
-        continue;
+      if (lambda.params_begin != std::string::npos) {
+        lambda.params = ParseParamNames(text.substr(
+            lambda.params_begin + 1,
+            lambda.params_end - lambda.params_begin - 1));
       }
       lambda.trigger = (*it)[1].str();
-      lambda.intro_open = bracket;
-      lambda.body_begin = body;
-      lambda.body_end = body_end;
+      scan = lambda.body_end + 1;
       out.push_back(std::move(lambda));
-      scan = body_end + 1;
     }
   }
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Loop extents inside a lambda body (for the alloc-in-slice rule).
-// ---------------------------------------------------------------------------
-
-struct LoopExtent {
-  size_t begin;
-  size_t end;
-};
-
-std::vector<LoopExtent> CollectLoopExtents(const std::string& text,
-                                           size_t begin, size_t end) {
-  std::vector<LoopExtent> out;
-  const std::string body = text.substr(begin, end - begin);
-  static const std::regex kLoop(R"(\b(for|while)\s*\()");
-  for (auto it = std::sregex_iterator(body.begin(), body.end(), kLoop);
-       it != std::sregex_iterator(); ++it) {
-    const size_t open = begin + static_cast<size_t>(it->position(0)) +
-                        static_cast<size_t>(it->length(0)) - 1;
-    const size_t close = analysis::MatchingParen(text, open);
-    if (close == std::string::npos || close >= end) continue;
-    const size_t after = analysis::SkipWhitespace(text, close + 1);
-    if (after < text.size() && text[after] == '{') {
-      const size_t be = analysis::MatchingBrace(text, after);
-      if (be != std::string::npos) out.push_back({after + 1, be});
-    } else {
-      const size_t semi = text.find(';', after);
-      if (semi != std::string::npos) out.push_back({after, semi});
-    }
-  }
-  static const std::regex kDo(R"(\bdo\b)");
-  for (auto it = std::sregex_iterator(body.begin(), body.end(), kDo);
-       it != std::sregex_iterator(); ++it) {
-    const size_t after = analysis::SkipWhitespace(
-        text, begin + static_cast<size_t>(it->position(0)) + 2);
-    if (after < text.size() && text[after] == '{') {
-      const size_t be = analysis::MatchingBrace(text, after);
-      if (be != std::string::npos && be < end) out.push_back({after + 1, be});
-    }
-  }
-  return out;
-}
-
-bool InAnyLoop(const std::vector<LoopExtent>& loops, size_t offset) {
-  for (const LoopExtent& l : loops) {
-    if (offset >= l.begin && offset < l.end) return true;
-  }
-  return false;
-}
-
-/// True when `name` has `name.reserve(...)` (or ->reserve) anywhere in the
-/// file — the capacity was provisioned, so growth calls do not allocate
-/// per iteration.
-bool HasReserveInFile(const std::string& text, const std::string& name) {
+/// True when `name` has `name.reserve(...)` (or ->reserve) somewhere in
+/// `scope`, the body of the function enclosing the slice lambda — the
+/// capacity was provisioned, so growth calls do not allocate per iteration.
+bool HasReserveIn(const std::string& scope, const std::string& name) {
   const std::regex re("\\b" + name + R"(\s*(\.|->)\s*reserve\s*\()");
-  return std::regex_search(text, re);
+  return std::regex_search(scope, re);
 }
 
 /// True when `name`'s declaration spells one of the associative container
@@ -339,20 +260,6 @@ bool DeclaredAsMapLike(const std::string& text, const std::string& name) {
   return false;
 }
 
-
-/// Local whole-word search (symbols.cc keeps its own copy private).
-size_t FindWord(const std::string& text, const std::string& word,
-                size_t from) {
-  size_t pos = from;
-  while ((pos = text.find(word, pos)) != std::string::npos) {
-    const bool left = pos == 0 || !analysis::IsIdentChar(text[pos - 1]);
-    const size_t end = pos + word.size();
-    const bool right = end >= text.size() || !analysis::IsIdentChar(text[end]);
-    if (left && right) return pos;
-    pos = end;
-  }
-  return std::string::npos;
-}
 
 // ---------------------------------------------------------------------------
 // Rule 1: shared-state capture.
@@ -414,17 +321,14 @@ void CheckSharedCapture(const SourceFile& file,
         continue;
       }
       if (!seen.insert(std::to_string(line) + ":" + w.name).second) continue;
-      Finding f;
-      f.rule = "shared-capture";
-      f.file = file.rel;
-      f.line = line;
-      f.message = "'" + w.name + "' is captured by reference into a " +
-                  lambda.trigger +
-                  " lambda and mutated without synchronization; make it "
-                  "std::atomic, write to a per-slice slot, or guard it with "
-                  "a Mutex";
-      f.fix_hint = std::string("// ") + kSharedOk + " — <why this is safe>";
-      findings->push_back(std::move(f));
+      findings->push_back(
+          {"shared-capture", file.rel, line,
+           "'" + w.name + "' is captured by reference into a " +
+               lambda.trigger +
+               " lambda and mutated without synchronization; make it "
+               "std::atomic, write to a per-slice slot, or guard it with "
+               "a Mutex",
+           std::string("// ") + kSharedOk + " — <why this is safe>"});
     }
   }
 }
@@ -454,17 +358,13 @@ void CheckAtomics(const SourceFile& file,
       if (analysis::HasSuppressionNear(file.raw_lines, line, kOrderOk)) {
         continue;
       }
-      Finding f;
-      f.rule = "atomic-rmw-order";
-      f.file = file.rel;
-      f.line = line;
-      f.message = "std::atomic " + method +
-                  " without an explicit std::memory_order (defaults to "
-                  "seq_cst); state the intended ordering";
-      f.fix_hint = method +
-                   "(..., std::memory_order_relaxed) for pure counters, or "
-                   "the ordering the algorithm needs";
-      findings->push_back(std::move(f));
+      findings->push_back(
+          {"atomic-rmw-order", file.rel, line,
+           "std::atomic " + method +
+               " without an explicit std::memory_order (defaults to "
+               "seq_cst); state the intended ordering",
+           method + "(..., std::memory_order_relaxed) for pure counters, or "
+                    "the ordering the algorithm needs"});
       continue;
     }
     if ((method == "fetch_add" || method == "fetch_sub") &&
@@ -501,15 +401,12 @@ void CheckAtomics(const SourceFile& file,
       if (analysis::HasSuppressionNear(file.raw_lines, line, kOrderOk)) {
         continue;
       }
-      Finding f;
-      f.rule = "atomic-counter-order";
-      f.file = file.rel;
-      f.line = line;
-      f.message = "discarded " + method +
-                  " uses a non-relaxed ordering; pure counters take "
-                  "std::memory_order_relaxed (ServiceHealth convention)";
-      f.fix_hint = method + "(..., std::memory_order_relaxed)";
-      findings->push_back(std::move(f));
+      findings->push_back(
+          {"atomic-counter-order", file.rel, line,
+           "discarded " + method +
+               " uses a non-relaxed ordering; pure counters take "
+               "std::memory_order_relaxed (ServiceHealth convention)",
+           method + "(..., std::memory_order_relaxed)"});
     }
   }
 
@@ -523,34 +420,16 @@ void CheckAtomics(const SourceFile& file,
     if (!is_atomic) return;
     const int line = analysis::LineOfOffset(text, pos);
     if (analysis::HasSuppressionNear(file.raw_lines, line, kOrderOk)) return;
-    Finding f;
-    f.rule = "atomic-rmw-order";
-    f.file = file.rel;
-    f.line = line;
-    f.message = "operator RMW on std::atomic '" + name +
-                "' is an implicit seq_cst read-modify-write; use "
-                "fetch_add/fetch_sub with an explicit std::memory_order";
-    f.fix_hint = name + ".fetch_add(1, std::memory_order_relaxed)";
-    findings->push_back(std::move(f));
+    findings->push_back(
+        {"atomic-rmw-order", file.rel, line,
+         "operator RMW on std::atomic '" + name +
+             "' is an implicit seq_cst read-modify-write; use "
+             "fetch_add/fetch_sub with an explicit std::memory_order",
+         name + ".fetch_add(1, std::memory_order_relaxed)"});
   };
-  static const std::regex kPre(R"((\+\+|--)\s*([A-Za-z_]\w*))");
-  for (auto it = std::sregex_iterator(text.begin(), text.end(), kPre);
-       it != std::sregex_iterator(); ++it) {
-    const size_t op_pos = static_cast<size_t>(it->position(1));
-    if (op_pos > 0 && (text[op_pos - 1] == '+' || text[op_pos - 1] == '-')) {
-      continue;
-    }
-    const size_t pos = static_cast<size_t>(it->position(2));
-    if (IsSubscripted(text, pos + it->length(2))) continue;
-    flag_operator((*it)[2].str(), pos);
-  }
-  static const std::regex kPost(R"(([A-Za-z_]\w*)\s*(\+\+|--))");
-  for (auto it = std::sregex_iterator(text.begin(), text.end(), kPost);
-       it != std::sregex_iterator(); ++it) {
-    const size_t pos = static_cast<size_t>(it->position(1));
-    if (!BaseNameOk(text, pos)) continue;
-    flag_operator((*it)[1].str(), pos);
-  }
+  std::vector<WriteRef> increments;
+  AppendIncrements(text, 0, text.size(), &increments);
+  for (const WriteRef& w : increments) flag_operator(w.name, w.offset);
   static const std::regex kCompound(
       R"(([A-Za-z_]\w*)\s*(\+=|-=|&=|\|=|\^=))");
   for (auto it = std::sregex_iterator(text.begin(), text.end(), kCompound);
@@ -575,29 +454,43 @@ void CheckAllocInSlice(const SourceFile& file,
     const int line = analysis::LineOfOffset(text, offset);
     if (analysis::HasSuppressionNear(file.raw_lines, line, kAllocOk)) return;
     if (!seen.insert(std::to_string(line) + ":" + what).second) return;
-    Finding f;
-    f.rule = "alloc-in-slice";
-    f.file = file.rel;
-    f.line = line;
-    f.message =
-        what + " inside the innermost loop of a slice-parallel body; " + hint;
-    f.fix_hint = hint;
-    findings->push_back(std::move(f));
+    findings->push_back(
+        {"alloc-in-slice", file.rel, line,
+         what + " inside the innermost loop of a slice-parallel body; " + hint,
+         hint});
   };
 
-  for (const ParallelLambda& lambda : FindParallelLambdas(file, true)) {
-    const std::vector<LoopExtent> loops =
-        CollectLoopExtents(text, lambda.body_begin + 1, lambda.body_end);
+  const std::vector<ParallelLambda> lambdas = FindParallelLambdas(file, true);
+  if (lambdas.empty()) return;
+  const std::vector<analysis::FunctionInfo> fns =
+      analysis::CollectFunctionDefs(file);
+  for (const ParallelLambda& lambda : lambdas) {
+    const std::vector<analysis::LoopRange> loops = analysis::CollectLoopRanges(
+        text, lambda.body_begin + 1, lambda.body_end);
     if (loops.empty()) continue;
     const std::string body = text.substr(
         lambda.body_begin, lambda.body_end - lambda.body_begin + 1);
+    // A reserve() counts only in the innermost function body around the
+    // lambda (the whole file when the lambda sits outside any function).
+    const analysis::FunctionInfo* owner = nullptr;
+    for (const analysis::FunctionInfo& fn : fns) {
+      if (fn.body_begin < lambda.body_begin && lambda.body_end < fn.body_end &&
+          (owner == nullptr || fn.body_begin > owner->body_begin)) {
+        owner = &fn;
+      }
+    }
+    const std::string scope =
+        owner == nullptr
+            ? text
+            : text.substr(owner->body_begin,
+                          owner->body_end - owner->body_begin + 1);
 
     // Direct heap constructions.
     for (const char* word : {"new", "make_unique", "make_shared"}) {
       size_t pos = lambda.body_begin;
-      while ((pos = FindWord(text, word, pos)) != std::string::npos &&
-             pos < lambda.body_end) {
-        if (InAnyLoop(loops, pos)) {
+      while ((pos = FindWord(text, word, pos, lambda.body_end)) !=
+             std::string::npos) {
+        if (analysis::InAnyRange(loops, pos)) {
           add(pos, std::string("'") + word + "' allocates",
               "allocate slice-owned scratch outside the loop");
         }
@@ -606,9 +499,9 @@ void CheckAllocInSlice(const SourceFile& file,
     }
     {
       size_t pos = lambda.body_begin;
-      while ((pos = FindWord(text, "to_string", pos)) != std::string::npos &&
-             pos < lambda.body_end) {
-        if (InAnyLoop(loops, pos)) {
+      while ((pos = FindWord(text, "to_string", pos, lambda.body_end)) !=
+             std::string::npos) {
+        if (analysis::InAnyRange(loops, pos)) {
           add(pos, "'std::to_string' builds a std::string per iteration",
               "format outside the loop or into a reused buffer");
         }
@@ -616,7 +509,7 @@ void CheckAllocInSlice(const SourceFile& file,
       }
     }
 
-    // Growth calls on containers with no reserve() anywhere in the file.
+    // Growth calls on containers with no reserve() in the enclosing function.
     static const std::regex kGrow(
         R"(([A-Za-z_]\w*)\s*(\.|->)\s*)"
         R"((push_back|emplace_back|push_front|emplace_front)\s*\()");
@@ -625,9 +518,9 @@ void CheckAllocInSlice(const SourceFile& file,
       const size_t pos =
           lambda.body_begin + static_cast<size_t>(it->position(1));
       if (!BaseNameOk(text, pos)) continue;
-      if (!InAnyLoop(loops, pos)) continue;
+      if (!analysis::InAnyRange(loops, pos)) continue;
       const std::string name = (*it)[1].str();
-      if (HasReserveInFile(text, name)) continue;
+      if (HasReserveIn(scope, name)) continue;
       add(pos, "'" + name + "." + (*it)[3].str() + "' grows an unreserved container",
           "reserve capacity up front (" + name +
               ".reserve(...)) or reuse slice-owned scratch");
@@ -641,10 +534,10 @@ void CheckAllocInSlice(const SourceFile& file,
       const size_t pos =
           lambda.body_begin + static_cast<size_t>(it->position(1));
       if (!BaseNameOk(text, pos)) continue;
-      if (!InAnyLoop(loops, pos)) continue;
+      if (!analysis::InAnyRange(loops, pos)) continue;
       const std::string name = (*it)[1].str();
       if (!DeclaredAsMapLike(text, name)) continue;
-      if (HasReserveInFile(text, name)) continue;
+      if (HasReserveIn(scope, name)) continue;
       add(pos, "'" + name + "." + (*it)[3].str() +
                    "' allocates a node per insertion",
           "hoist the build out of the loop or reserve() the table");
@@ -662,7 +555,7 @@ void CheckAllocInSlice(const SourceFile& file,
              pos < lambda.body_end) {
         const size_t here = pos;
         pos += tlen;
-        if (!InAnyLoop(loops, here)) continue;
+        if (!analysis::InAnyRange(loops, here)) continue;
         // `new std::vector<...>` is already reported by the new check.
         size_t back = here;
         if (back >= 2 && text[back - 1] == ':' && text[back - 2] == ':') {
@@ -822,17 +715,13 @@ void CheckAnnotationCoverage(
                mu_field->type.find("shared_ptr") != std::string::npos)) {
             mu = "*" + mu;
           }
-          Finding f;
-          f.rule = "guard-missing";
-          f.file = cls.file;
-          f.line = field->line;
-          f.message = "field '" + w.name + "' of " + cname +
-                      " is written under mutex '" + mu + "' (" + mfile->rel +
-                      ":" + std::to_string(wline) +
-                      ") but carries no CM_GUARDED_BY annotation";
-          f.fix_hint =
-              field->type + " " + w.name + " CM_GUARDED_BY(" + mu + ");";
-          findings->push_back(std::move(f));
+          findings->push_back(
+              {"guard-missing", cls.file, field->line,
+               "field '" + w.name + "' of " + cname +
+                   " is written under mutex '" + mu + "' (" + mfile->rel +
+                   ":" + std::to_string(wline) +
+                   ") but carries no CM_GUARDED_BY annotation",
+               field->type + " " + w.name + " CM_GUARDED_BY(" + mu + ");"});
         } else {
           if (field->guarded_by.empty()) continue;
           if (method.is_structor) continue;  // init before sharing
@@ -840,61 +729,27 @@ void CheckAnnotationCoverage(
                                            kGuardOk)) {
             continue;
           }
-          Finding f;
-          f.rule = "requires-missing";
-          f.file = mfile->rel;
-          f.line = wline;
-          f.message = "method " + cname + "::" + method.name + " writes '" +
-                      w.name + "' (CM_GUARDED_BY(" + field->guarded_by +
-                      ")) without holding the lock or declaring the "
-                      "requirement";
-          f.fix_hint = "annotate with CM_REQUIRES(" + field->guarded_by +
-                       ") or take MutexLock in the method";
-          findings->push_back(std::move(f));
+          findings->push_back(
+              {"requires-missing", mfile->rel, wline,
+               "method " + cname + "::" + method.name + " writes '" + w.name +
+                   "' (CM_GUARDED_BY(" + field->guarded_by +
+                   ")) without holding the lock or declaring the "
+                   "requirement",
+               "annotate with CM_REQUIRES(" + field->guarded_by +
+                   ") or take MutexLock in the method"});
         }
       }
     }
   }
 }
 
-// ---------------------------------------------------------------------------
-// Tree analysis driver.
-// ---------------------------------------------------------------------------
-
-struct AnalyzeOptions {
-  fs::path root;
-  fs::path allowlist;  ///< Optional rule:path allowlist.
-};
-
-/// Runs every rule over the tree. Returns 2 on infrastructure errors,
-/// otherwise 0 with findings appended.
-int AnalyzeTree(const AnalyzeOptions& options, std::vector<Finding>* findings,
-                std::ostream& diag) {
-  const std::vector<std::string> kSubdirs = {"src", "tools", "tests", "bench",
-                                             "examples"};
-  std::vector<SourceFile> files;
-  for (const fs::path& path :
-       analysis::ListSourceFiles(options.root, kSubdirs)) {
-    SourceFile file;
-    const std::string rel = fs::relative(path, options.root).generic_string();
-    if (!analysis::LoadSourceFile(path, rel, &file)) {
-      diag << "cmrace: cannot read " << rel << "\n";
-      return 2;
-    }
-    files.push_back(std::move(file));
-  }
-
-  std::vector<std::vector<ClassInfo>> classes_per_file;
-  classes_per_file.reserve(files.size());
-  for (const SourceFile& file : files) {
-    classes_per_file.push_back(analysis::CollectClasses(file));
-  }
-
-  for (size_t i = 0; i < files.size(); ++i) {
-    const SourceFile& file = files[i];
+// Runs every rule over the tree.
+bool Analyze(const Tree& tree, std::vector<Finding>* findings, std::string*) {
+  for (size_t i = 0; i < tree.files.size(); ++i) {
+    const SourceFile& file = tree.files[i];
     std::map<std::string, const FieldInfo*> fields;
     std::set<std::string> atomic_fields;
-    for (const ClassInfo& c : classes_per_file[i]) {
+    for (const ClassInfo& c : tree.classes[i]) {
       for (const FieldInfo& f : c.fields) {
         fields.emplace(f.name, &f);
         if (f.is_atomic) atomic_fields.insert(f.name);
@@ -904,227 +759,125 @@ int AnalyzeTree(const AnalyzeOptions& options, std::vector<Finding>* findings,
     CheckAtomics(file, atomic_fields, findings);
     if (file.rel.rfind("src/", 0) == 0) CheckAllocInSlice(file, findings);
   }
-  CheckAnnotationCoverage(files, classes_per_file, findings);
-  return 0;
+  CheckAnnotationCoverage(tree.files, tree.classes, findings);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
 // Self-test over the seeded fixture trees in tools/analysis/testdata/cmrace/.
 // ---------------------------------------------------------------------------
 
-int SelfTest(const fs::path& testdata) {
-  int failures = 0;
-  auto expect = [&failures](bool cond, const std::string& what) {
-    if (!cond) {
-      std::cout << "self-test FAIL: " << what << "\n";
-      ++failures;
-    }
-  };
-
-  // Runs one fixture tree and returns its findings as "rule:file:line"
-  // strings plus the raw findings for message checks.
-  struct CaseResult {
-    std::vector<Finding> findings;
-    std::set<std::string> keys;
-    bool ok = false;
-  };
-  auto run_case = [&testdata](const std::string& name) {
-    CaseResult result;
-    AnalyzeOptions options;
-    options.root = testdata / "cmrace" / name;
-    std::ostringstream diag;
-    result.ok = AnalyzeTree(options, &result.findings, diag) == 0;
-    for (const Finding& f : result.findings) {
-      result.keys.insert(f.rule + ":" + f.file + ":" + std::to_string(f.line));
-    }
-    return result;
-  };
+bool SelfTest(const fs::path& testdata) {
+  SelfTestRun t(testdata / "cmrace", &Analyze);
 
   // ---- capture: by-ref mutation of a local and of a field through `this`
   // fire; atomic, slot-indexed, and suppressed writes stay quiet. ----------
   {
-    const CaseResult r = run_case("capture");
-    expect(r.ok, "capture fixture analyzable");
-    expect(r.keys.count("shared-capture:src/a.cc:18") == 1,
-           "by-ref captured local accumulator detected");
-    expect(r.keys.count("shared-capture:src/a.cc:31") == 1,
-           "field mutated through captured this detected");
+    const FixtureResult r = t.Run("capture");
+    t.Expect(r.ok, "capture fixture analyzable");
+    t.Expect(r.keys.count("shared-capture:src/a.cc:18") == 1,
+             "by-ref captured local accumulator detected");
+    t.Expect(r.keys.count("shared-capture:src/a.cc:31") == 1,
+             "field mutated through captured this detected");
     for (const Finding& f : r.findings) {
-      expect(f.line != 19 && f.line != 20 && f.line != 22,
-             "atomic/slot-indexed/suppressed write flagged at line " +
-                 std::to_string(f.line));
+      t.Expect(f.line != 19 && f.line != 20 && f.line != 22,
+               "atomic/slot-indexed/suppressed write flagged at line " +
+                   std::to_string(f.line));
     }
-    expect(r.findings.size() == 2,
-           "capture fixture yields exactly 2 findings (got " +
-               std::to_string(r.findings.size()) + ")");
+    t.Expect(r.findings.size() == 2,
+             "capture fixture yields exactly 2 findings (got " +
+                 std::to_string(r.findings.size()) + ")");
   }
 
   // ---- guards: unannotated fields written under MutexLock or CM_REQUIRES
   // earn inferred CM_GUARDED_BY hints; the annotated field written without
   // the lock earns requires-missing; suppressed field stays quiet. --------
   {
-    const CaseResult r = run_case("guards");
-    expect(r.ok, "guards fixture analyzable");
-    expect(r.keys.count("guard-missing:src/cache.h:25") == 1,
-           "map written under lock inferred as guarded");
-    expect(r.keys.count("guard-missing:src/cache.h:26") == 1,
-           "counter incremented under lock inferred as guarded");
-    expect(r.keys.count("guard-missing:src/cache.h:27") == 1,
-           "field written in CM_REQUIRES body inferred as guarded");
-    expect(r.keys.count("requires-missing:src/s.cc:4") == 1,
-           "out-of-line unlocked write of guarded field detected");
+    const FixtureResult r = t.Run("guards");
+    t.Expect(r.ok, "guards fixture analyzable");
+    t.Expect(r.keys.count("guard-missing:src/cache.h:25") == 1,
+             "map written under lock inferred as guarded");
+    t.Expect(r.keys.count("guard-missing:src/cache.h:26") == 1,
+             "counter incremented under lock inferred as guarded");
+    t.Expect(r.keys.count("guard-missing:src/cache.h:27") == 1,
+             "field written in CM_REQUIRES body inferred as guarded");
+    t.Expect(r.keys.count("requires-missing:src/s.cc:4") == 1,
+             "out-of-line unlocked write of guarded field detected");
     bool hint_ok = false;
     for (const Finding& f : r.findings) {
       if (f.rule == "guard-missing" && f.line == 26) {
         hint_ok = f.fix_hint.find("CM_GUARDED_BY(mu_)") != std::string::npos;
       }
-      expect(f.file != "src/cache.h" || f.line != 29,
-             "suppressed field flagged at its declaration");
-      expect(f.file != "src/s.cc" || f.line != 9,
-             "locked write of annotated field flagged");
+      t.Expect(f.file != "src/cache.h" || f.line != 29,
+               "suppressed field flagged at its declaration");
+      t.Expect(f.file != "src/s.cc" || f.line != 9,
+               "locked write of annotated field flagged");
     }
-    expect(hint_ok, "guard-missing fix hint spells the exact annotation");
-    expect(r.findings.size() == 4,
-           "guards fixture yields exactly 4 findings (got " +
-               std::to_string(r.findings.size()) + ")");
+    t.Expect(hint_ok, "guard-missing fix hint spells the exact annotation");
+    t.Expect(r.findings.size() == 4,
+             "guards fixture yields exactly 4 findings (got " +
+                 std::to_string(r.findings.size()) + ")");
   }
 
   // ---- atomics: order-less RMW and operator RMW fire; a discarded seq_cst
   // counter earns counter-order; relaxed/used/suppressed stay quiet. -------
   {
-    const CaseResult r = run_case("atomics");
-    expect(r.ok, "atomics fixture analyzable");
-    expect(r.keys.count("atomic-rmw-order:src/a.cc:8") == 1,
-           "fetch_add without memory_order detected");
-    expect(r.keys.count("atomic-rmw-order:src/a.cc:9") == 1,
-           "exchange without memory_order detected");
-    expect(r.keys.count("atomic-counter-order:src/a.cc:11") == 1,
-           "discarded seq_cst counter detected");
-    expect(r.keys.count("atomic-rmw-order:src/a.cc:17") == 1,
-           "operator++ on atomic detected");
+    const FixtureResult r = t.Run("atomics");
+    t.Expect(r.ok, "atomics fixture analyzable");
+    t.Expect(r.keys.count("atomic-rmw-order:src/a.cc:8") == 1,
+             "fetch_add without memory_order detected");
+    t.Expect(r.keys.count("atomic-rmw-order:src/a.cc:9") == 1,
+             "exchange without memory_order detected");
+    t.Expect(r.keys.count("atomic-counter-order:src/a.cc:11") == 1,
+             "discarded seq_cst counter detected");
+    t.Expect(r.keys.count("atomic-rmw-order:src/a.cc:17") == 1,
+             "operator++ on atomic detected");
     for (const Finding& f : r.findings) {
-      expect(f.line != 12 && f.line != 13 && f.line != 16 && f.line != 22,
-             "relaxed/used/suppressed/explicit RMW flagged at line " +
-                 std::to_string(f.line));
+      t.Expect(f.line != 12 && f.line != 13 && f.line != 16 && f.line != 22,
+               "relaxed/used/suppressed/explicit RMW flagged at line " +
+                   std::to_string(f.line));
     }
-    expect(r.findings.size() == 4,
-           "atomics fixture yields exactly 4 findings (got " +
-               std::to_string(r.findings.size()) + ")");
+    t.Expect(r.findings.size() == 4,
+             "atomics fixture yields exactly 4 findings (got " +
+                 std::to_string(r.findings.size()) + ")");
   }
 
-  // ---- allocs: per-iteration ctor/new/string/map-insert fire inside the
-  // slice loop; reserved growth, loop-hoisted scratch, and suppressed
-  // inserts stay quiet. ----------------------------------------------------
+  // ---- allocs: per-iteration ctor/new/string/map-insert, and growth whose
+  // only reserve() is in another function, fire inside the slice loop;
+  // reserved growth, loop-hoisted scratch, and suppressed inserts stay
+  // quiet. -----------------------------------------------------------------
   {
-    const CaseResult r = run_case("allocs");
-    expect(r.ok, "allocs fixture analyzable");
-    expect(r.keys.count("alloc-in-slice:src/a.cc:22") == 1,
-           "vector constructed per iteration detected");
-    expect(r.keys.count("alloc-in-slice:src/a.cc:23") == 1,
-           "naked new in slice loop detected");
-    expect(r.keys.count("alloc-in-slice:src/a.cc:24") == 1,
-           "string constructed per iteration detected");
-    expect(r.keys.count("alloc-in-slice:src/a.cc:25") == 1,
-           "to_string in slice loop detected");
-    expect(r.keys.count("alloc-in-slice:src/a.cc:40") == 1,
-           "unreserved map insert in slice loop detected");
+    const FixtureResult r = t.Run("allocs");
+    t.Expect(r.ok, "allocs fixture analyzable");
+    t.Expect(r.keys.count("alloc-in-slice:src/a.cc:22") == 1,
+             "vector constructed per iteration detected");
+    t.Expect(r.keys.count("alloc-in-slice:src/a.cc:23") == 1,
+             "naked new in slice loop detected");
+    t.Expect(r.keys.count("alloc-in-slice:src/a.cc:24") == 1,
+             "string constructed per iteration detected");
+    t.Expect(r.keys.count("alloc-in-slice:src/a.cc:25") == 1,
+             "to_string in slice loop detected");
+    t.Expect(r.keys.count("alloc-in-slice:src/a.cc:40") == 1,
+             "unreserved map insert in slice loop detected");
+    t.Expect(r.keys.count("alloc-in-slice:src/a.cc:54") == 1,
+             "growth reserved only in another function detected");
     for (const Finding& f : r.findings) {
-      expect(f.line != 19 && f.line != 20 && f.line != 26 && f.line != 42,
-             "hoisted/reserved/suppressed allocation flagged at line " +
-                 std::to_string(f.line));
+      t.Expect(f.line != 19 && f.line != 20 && f.line != 26 && f.line != 42,
+               "hoisted/reserved/suppressed allocation flagged at line " +
+                   std::to_string(f.line));
     }
-    expect(r.findings.size() == 5,
-           "allocs fixture yields exactly 5 findings (got " +
-               std::to_string(r.findings.size()) + ")");
+    t.Expect(r.findings.size() == 6,
+             "allocs fixture yields exactly 6 findings (got " +
+                 std::to_string(r.findings.size()) + ")");
   }
 
-  if (failures == 0) {
-    std::cout << "cmrace self-test: every rule fires on its seeded fixtures "
-                 "and honors suppressions\n";
-    return 0;
-  }
-  return 1;
+  return t.Finish(
+      "cmrace self-test: every rule fires on its seeded fixtures and honors "
+      "suppressions");
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  fs::path root, allowlist, testdata;
-  bool self_test = false, json = false, fix_hints = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--self-test") {
-      self_test = true;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg == "--fix-hints") {
-      fix_hints = true;
-    } else if (arg == "--root" && i + 1 < argc) {
-      root = argv[++i];
-    } else if (arg == "--allowlist" && i + 1 < argc) {
-      allowlist = argv[++i];
-    } else if (arg == "--testdata" && i + 1 < argc) {
-      testdata = argv[++i];
-    } else {
-      std::cout << "usage: cmrace --root <repo-root> [--allowlist FILE] "
-                   "[--json] [--fix-hints] | --self-test --testdata DIR\n";
-      return 2;
-    }
-  }
+const Family kRace = {"race", &Analyze, &SelfTest};
 
-  if (self_test) {
-    if (testdata.empty()) {
-      std::cout << "cmrace: --self-test requires --testdata "
-                   "<tools/analysis/testdata>\n";
-      return 2;
-    }
-    return SelfTest(testdata);
-  }
-
-  if (root.empty()) {
-    std::cout << "cmrace: --root is required (or use --self-test)\n";
-    return 2;
-  }
-
-  AnalyzeOptions options;
-  options.root = root;
-  if (allowlist.empty()) {
-    const fs::path default_allowlist = root / "tools" / "cmrace_allowlist.txt";
-    if (fs::exists(default_allowlist)) allowlist = default_allowlist;
-  }
-
-  std::vector<Finding> findings;
-  const int rc = AnalyzeTree(options, &findings, std::cout);
-  if (rc != 0) return rc;
-
-  bool allow_ok = true;
-  const std::set<std::string> allow =
-      analysis::LoadAllowlist(allowlist, &allow_ok);
-  if (!allow_ok) {
-    std::cout << "cmrace: cannot read allowlist " << allowlist << "\n";
-    return 2;
-  }
-  analysis::FilteredFindings filtered =
-      analysis::ApplyAllowlist(findings, allow);
-  std::sort(filtered.reported.begin(), filtered.reported.end(),
-            [](const Finding& a, const Finding& b) {
-              return std::tie(a.file, a.line, a.rule) <
-                     std::tie(b.file, b.line, b.rule);
-            });
-
-  if (json) {
-    analysis::PrintFindingsJson("cmrace", filtered.reported, std::cout);
-  } else {
-    analysis::PrintFindings(filtered.reported, fix_hints, std::cout);
-    for (const std::string& entry : filtered.stale) {
-      std::cout << "note: stale allowlist entry (no matching finding): "
-                << entry << "\n";
-    }
-    std::cout << "cmrace: " << filtered.reported.size() << " finding(s)";
-    if (filtered.suppressed > 0) {
-      std::cout << ", " << filtered.suppressed << " allowlisted";
-    }
-    std::cout << "\n";
-  }
-  return filtered.reported.empty() ? 0 : 1;
-}
+}  // namespace checks
