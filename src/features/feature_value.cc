@@ -70,22 +70,7 @@ bool FeatureValue::HasCategory(int32_t category) const {
 double FeatureValue::Jaccard(const FeatureValue& a, const FeatureValue& b) {
   const auto& ca = a.categories();
   const auto& cb = b.categories();
-  if (ca.empty() && cb.empty()) return 1.0;
-  size_t inter = 0;
-  size_t i = 0, j = 0;
-  while (i < ca.size() && j < cb.size()) {
-    if (ca[i] == cb[j]) {
-      ++inter;
-      ++i;
-      ++j;
-    } else if (ca[i] < cb[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  const size_t uni = ca.size() + cb.size() - inter;
-  return static_cast<double>(inter) / static_cast<double>(uni);
+  return SortedSetJaccard(ca.data(), ca.size(), cb.data(), cb.size());
 }
 
 std::string FeatureValue::ToString() const {

@@ -9,6 +9,7 @@
 #ifndef CROSSMODAL_FEATURES_FEATURE_VALUE_H_
 #define CROSSMODAL_FEATURES_FEATURE_VALUE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -24,6 +25,23 @@ enum class FeatureType : uint8_t {
 };
 
 const char* FeatureTypeName(FeatureType type);
+
+/// Jaccard similarity |A ∩ B| / |A ∪ B| of two ascending, duplicate-free
+/// id spans, in [0, 1]; two empty sets have similarity 1. Shared by
+/// FeatureValue::Jaccard and the kNN kernel's compiled rows.
+template <typename Id>
+double SortedSetJaccard(const Id* a, size_t na, const Id* b, size_t nb) {
+  if (na == 0 && nb == 0) return 1.0;
+  size_t inter = 0;
+  size_t i = 0, j = 0;
+  while (i < na && j < nb) {
+    const Id x = a[i], y = b[j];
+    inter += x == y;
+    i += x <= y;
+    j += y <= x;
+  }
+  return static_cast<double>(inter) / static_cast<double>(na + nb - inter);
+}
 
 /// A single feature value; missing by default.
 class FeatureValue {

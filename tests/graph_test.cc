@@ -2,12 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "audit/determinism.h"
+
 #include "util/logging.h"
 
 #include "graph/knn_graph.h"
 #include "graph/label_propagation.h"
 #include "graph/similarity.h"
-#include "graph/similarity_search.h"
 #include "util/random.h"
 
 namespace crossmodal {
@@ -98,6 +99,63 @@ TEST(SimilarityTest, MissingFeaturesSkipped) {
   FeatureVector c(3);
   c.Set(0, FeatureValue::Categorical({1}));
   EXPECT_DOUBLE_EQ(sim.Weight(a, c), 1.0);  // only shared feature matches
+}
+
+// Every Algorithm-1 branch of the compiled kernel, against hand-computed
+// doubles with the same operations in the same order (EXPECT_EQ, not NEAR:
+// the kernel's contract is bit-identity, not closeness).
+TEST(SimilarityTest, CompiledWeightIsExactOnEveryBranch) {
+  FeatureSchema schema;
+  const auto add = [&](FeatureType type) {
+    FeatureDef def;
+    def.name = "f" + std::to_string(schema.size());
+    def.type = type;
+    CM_CHECK(schema.Add(def).ok());
+  };
+  add(FeatureType::kCategorical);  // 0: Jaccard 2/5
+  add(FeatureType::kNumeric);      // 1: fitted scale 1.5
+  add(FeatureType::kEmbedding);    // 2: cosine 24/25
+  add(FeatureType::kCategorical);  // 3: numeric vs categorical, skipped
+  add(FeatureType::kCategorical);  // 4: missing on one side, skipped
+  add(FeatureType::kCategorical);  // 5: two empty sets, 1.0
+  add(FeatureType::kEmbedding);    // 6: unequal lengths, skipped
+  add(FeatureType::kEmbedding);    // 7: zero norm, cosine 0
+  FeatureVector a(8), b(8), c(8);
+  a.Set(0, FeatureValue::Categorical({1, 2, 3}));
+  b.Set(0, FeatureValue::Categorical({2, 3, 4, 5}));
+  a.Set(1, FeatureValue::Numeric(1.0));
+  b.Set(1, FeatureValue::Numeric(4.0));
+  a.Set(2, FeatureValue::Embedding({3.0f, 4.0f}));
+  b.Set(2, FeatureValue::Embedding({4.0f, 3.0f}));
+  a.Set(3, FeatureValue::Numeric(1.0));
+  b.Set(3, FeatureValue::Categorical({1}));
+  a.Set(4, FeatureValue::Categorical({7}));
+  a.Set(5, FeatureValue::Categorical({}));
+  b.Set(5, FeatureValue::Categorical({}));
+  a.Set(6, FeatureValue::Embedding({1.0f, 2.0f}));
+  b.Set(6, FeatureValue::Embedding({1.0f, 2.0f, 3.0f}));
+  a.Set(7, FeatureValue::Embedding({0.0f, 0.0f}));
+  b.Set(7, FeatureValue::Embedding({1.0f, 2.0f}));
+  c.Set(0, FeatureValue::Categorical({-4, 2}));
+
+  FeatureSimilarity sim(&schema, {0, 1, 2, 3, 4, 5, 6, 7});
+  sim.FitNormalization({&a, &b});  // mean 2.5, variance 2.25
+  const CompiledRows rows = sim.Compile({&c, &a, &b});
+  EXPECT_EQ(rows.num_rows(), 3u);
+  EXPECT_EQ(rows.num_items(), 8u);  // {-4, 1, 2, 3, 4, 5} in f0, {1}, {7}
+
+  double total = 0.0;
+  total += 2.0 / 5.0;
+  total += std::exp(-(3.0 / 1.5));
+  total += 0.5 * (1.0 + 24.0 / (5.0 * 5.0));
+  total += 1.0;
+  total += 0.5 * (1.0 + 0.0);
+  const double expected = total / 5.0;
+  EXPECT_EQ(sim.Weight(rows, 1, 2), expected);
+  EXPECT_EQ(sim.Weight(rows, 2, 1), expected);
+  EXPECT_EQ(sim.Weight(a, b), expected);
+  // Row c shares only feature 0 with a: {-4, 2} vs {1, 2, 3}.
+  EXPECT_EQ(sim.Weight(rows, 0, 1), 1.0 / 4.0);
 }
 
 TEST(SimilarityTest, CosineSimilarityBasics) {
@@ -201,64 +259,77 @@ TEST_F(KnnGraphTest, EmptyNodeListOk) {
   EXPECT_EQ(graph->num_nodes(), 0u);
 }
 
-
-// ---------- Similarity search / clustering ------------------------------------
-
-TEST_F(KnnGraphTest, SimilarityIndexFindsClusterNeighbors) {
-  FeatureSimilarity sim(&schema_, {0, 1, 2});
-  std::vector<const FeatureVector*> rows;
-  for (EntityId id : nodes_) rows.push_back(*store_.Get(id));
-  sim.FitNormalization(rows);
-  SimilarityIndexOptions options;
-  options.stop_item_fraction = 0.8;  // small fixture; keep cluster tags
-  auto index = SimilarityIndex::Build(nodes_, store_, sim, options);
-  ASSERT_TRUE(index.ok()) << index.status();
-  EXPECT_EQ(index->size(), nodes_.size());
-  // Query with a cluster-A row: neighbors should be cluster A (ids <= 20).
-  const FeatureVector& probe = **store_.Get(1);
-  const auto hits = index->Query(probe, 5);
-  ASSERT_EQ(hits.size(), 5u);
-  for (const Neighbor& h : hits) {
-    EXPECT_LE(h.entity, 20u) << "cross-cluster neighbor returned";
-    EXPECT_GE(h.weight, 0.0);
-    EXPECT_LE(h.weight, 1.0);
-  }
-  // Descending order.
-  for (size_t i = 1; i < hits.size(); ++i) {
-    EXPECT_GE(hits[i - 1].weight, hits[i].weight);
-  }
-}
-
-TEST_F(KnnGraphTest, SimilarityIndexRejectsMissingEntity) {
-  FeatureSimilarity sim(&schema_, {0});
-  std::vector<EntityId> bad = nodes_;
-  bad.push_back(4242);
-  EXPECT_FALSE(SimilarityIndex::Build(bad, store_, sim,
-                                      SimilarityIndexOptions{})
-                   .ok());
-}
-
-TEST_F(KnnGraphTest, ClusteringSeparatesTheTwoClusters) {
-  auto clustering = ClusterEntities(nodes_, store_, {0, 1, 2}, 2);
-  ASSERT_TRUE(clustering.ok()) << clustering.status();
-  ASSERT_EQ(clustering->assignment.size(), nodes_.size());
-  // Perfect 2-means split of the fixture's two clusters.
-  const int label_a = clustering->assignment[0];
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i] <= 20) {
-      EXPECT_EQ(clustering->assignment[i], label_a);
-    } else {
-      EXPECT_NE(clustering->assignment[i], label_a);
+// Pins the graph built over a seeded 2k-node store to a golden hash, at 1
+// and 4 threads. The store has every cell kind the kernel branches on
+// (missing cells, a numeric value in a categorical column, empty sets,
+// zero and short embeddings), and few categorical values per node, so
+// many candidates tie on their shared count and max_candidates = 16 cuts
+// through the ties. The value was recorded with the per-pair
+// FeatureVector kernel that preceded the compiled layout.
+TEST(KnnGraphGoldenTest, SeededStoreHashIsPinned) {
+  FeatureSchema schema;
+  const auto add = [&](const char* name, FeatureType type, int32_t card) {
+    FeatureDef def;
+    def.name = name;
+    def.type = type;
+    def.cardinality = card;
+    CM_CHECK(schema.Add(def).ok());
+  };
+  add("topic", FeatureType::kCategorical, 30);
+  add("tags", FeatureType::kCategorical, 60);
+  add("coarse", FeatureType::kCategorical, 4);
+  add("score", FeatureType::kNumeric, 0);
+  add("emb", FeatureType::kEmbedding, 4);
+  FeatureStore store(&schema);
+  std::vector<EntityId> nodes;
+  Rng rng(0x601DE2);
+  for (EntityId id = 100; id < 2100; ++id) {
+    FeatureVector row(5);
+    if (!rng.Bernoulli(0.05)) {
+      row.Set(0, FeatureValue::Categorical(
+                     {static_cast<int32_t>(rng.UniformInt(uint64_t{30}))}));
     }
+    std::vector<int32_t> tags;
+    const uint64_t num_tags = rng.UniformInt(uint64_t{4});
+    for (uint64_t t = 0; t < num_tags; ++t) {
+      tags.push_back(static_cast<int32_t>(rng.UniformInt(uint64_t{60})));
+    }
+    row.Set(1, FeatureValue::Categorical(std::move(tags)));
+    if (rng.Bernoulli(0.1)) {
+      row.Set(2, FeatureValue::Numeric(1.0));  // type mismatch
+    } else if (!rng.Bernoulli(0.2)) {
+      row.Set(2, FeatureValue::Categorical(
+                     {static_cast<int32_t>(rng.UniformInt(uint64_t{4}))}));
+    }
+    if (!rng.Bernoulli(0.1)) {
+      row.Set(3, FeatureValue::Numeric(rng.Normal(3.0, 2.0)));
+    }
+    const double kind = rng.Uniform();
+    if (kind < 0.05) {
+      row.Set(4, FeatureValue::Embedding({0.0f, 0.0f, 0.0f, 0.0f}));
+    } else if (kind < 0.1) {
+      row.Set(4, FeatureValue::Embedding({1.0f, 0.5f, 0.25f}));  // short
+    } else if (kind < 0.9) {
+      std::vector<float> emb(4);
+      for (float& x : emb) x = static_cast<float>(rng.Normal());
+      row.Set(4, FeatureValue::Embedding(std::move(emb)));
+    }
+    store.Put(id, std::move(row));
+    nodes.push_back(id);
   }
-  EXPECT_GT(clustering->iterations, 0);
-}
-
-TEST_F(KnnGraphTest, ClusteringValidatesK) {
-  EXPECT_FALSE(ClusterEntities(nodes_, store_, {0}, 0).ok());
-  EXPECT_FALSE(ClusterEntities(nodes_, store_, {0},
-                               static_cast<int>(nodes_.size()) + 1)
-                   .ok());
+  FeatureSimilarity sim(&schema, {0, 1, 2, 3, 4});
+  std::vector<const FeatureVector*> rows;
+  for (EntityId id : nodes) rows.push_back(*store.Get(id));
+  sim.FitNormalization(rows);
+  KnnGraphOptions options;
+  options.max_candidates = 16;
+  for (size_t threads : {1, 4}) {
+    options.parallel.num_threads = threads;
+    auto graph = BuildKnnGraph(nodes, store, sim, options);
+    ASSERT_TRUE(graph.ok()) << graph.status();
+    EXPECT_EQ(DeterminismHarness::HashGraph(*graph), 0xDB455F6455386708ULL)
+        << "threads=" << threads;
+  }
 }
 
 // ---------- Label propagation -----------------------------------------------

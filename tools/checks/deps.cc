@@ -442,7 +442,7 @@ bool Analyze(const Tree& tree, std::vector<Finding>* findings,
 // ---------------------------------------------------------------------------
 
 bool SelfTest(const fs::path& testdata) {
-  SelfTestRun t(testdata, &Analyze);
+  SelfTestRun t(testdata, kDeps);
 
   // ---- Spec parsing (the LAYERS grammar gate). ---------------------------
   {
@@ -582,6 +582,6 @@ bool SelfTest(const fs::path& testdata) {
 
 }  // namespace
 
-const Family kDeps = {"deps", &Analyze, &SelfTest};
+const Family kDeps = {"deps", &Analyze, false, &SelfTest};
 
 }  // namespace checks

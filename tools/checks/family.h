@@ -20,17 +20,19 @@
 namespace checks {
 
 /// The analyzed tree: every .h/.cc/.cpp under src/, tools/, tests/, bench/
-/// and examples/ (sorted by path, testdata/ skipped) and the class model of
-/// each file, which race and life both read.
+/// and examples/ (sorted by path, testdata/ skipped) and, when a selected
+/// family reads it, the class model of each file.
 struct Tree {
   std::filesystem::path root;
   std::vector<analysis::SourceFile> files;
-  std::vector<std::vector<analysis::ClassInfo>> classes;  ///< Per file.
+  /// Per file; empty unless loaded with `with_classes`.
+  std::vector<std::vector<analysis::ClassInfo>> classes;
 };
 
-/// Loads the tree under `root`; false with `*error` set on an IO error.
-bool LoadTree(const std::filesystem::path& root, Tree* tree,
-              std::string* error);
+/// Loads the tree under `root`, with the class model when `with_classes`;
+/// false with `*error` set on an IO error.
+bool LoadTree(const std::filesystem::path& root, bool with_classes,
+              Tree* tree, std::string* error);
 
 /// Appends a family's findings; false with `*error` set when the family
 /// cannot run (e.g. an unreadable LAYERS spec).
@@ -42,6 +44,7 @@ using AnalyzeFn = bool (*)(const Tree& tree,
 struct Family {
   const char* name;  ///< The `--only` spelling.
   AnalyzeFn analyze;
+  bool reads_classes;  ///< Whether analyze reads Tree::classes.
   /// Checks the family's fixtures under `testdata`; prints a success line
   /// or the failed assertions.
   bool (*self_test)(const std::filesystem::path& testdata);
@@ -59,12 +62,13 @@ struct FixtureResult {
   bool ok = false;  ///< Loaded and analyzed without an error.
 };
 
-/// Self-test bookkeeping shared by the families: runs `analyze` over the
-/// fixture trees under `fixtures` and counts failed expectations.
+/// Self-test bookkeeping shared by the families: runs `family`'s analysis
+/// over the fixture trees under `fixtures`, loaded as the driver loads the
+/// real tree for it, and counts failed expectations.
 class SelfTestRun {
  public:
-  SelfTestRun(std::filesystem::path fixtures, AnalyzeFn analyze)
-      : fixtures_(std::move(fixtures)), analyze_(analyze) {}
+  SelfTestRun(std::filesystem::path fixtures, const Family& family)
+      : fixtures_(std::move(fixtures)), family_(family) {}
 
   /// Loads the fixture tree `fixtures/<name>` and analyzes it.
   FixtureResult Run(const std::string& name) const;
@@ -75,7 +79,7 @@ class SelfTestRun {
 
  private:
   std::filesystem::path fixtures_;
-  AnalyzeFn analyze_;
+  const Family& family_;
   int failures_ = 0;
 };
 

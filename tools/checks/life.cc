@@ -745,7 +745,7 @@ bool Analyze(const Tree& tree, std::vector<Finding>* findings, std::string*) {
 // ---------------------------------------------------------------------------
 
 bool SelfTest(const fs::path& testdata) {
-  SelfTestRun t(testdata / "cmlife", &Analyze);
+  SelfTestRun t(testdata / "cmlife", kLife);
 
   // ---- views: view returns of locals, view-of-temporary binds, and view
   // members bound to parameters fire; static locals, view-returning calls,
@@ -851,6 +851,6 @@ bool SelfTest(const fs::path& testdata) {
 
 }  // namespace
 
-const Family kLife = {"life", &Analyze, &SelfTest};
+const Family kLife = {"life", &Analyze, true, &SelfTest};
 
 }  // namespace checks

@@ -365,7 +365,7 @@ bool Analyze(const Tree& tree, std::vector<Finding>* findings, std::string*) {
 // ---------------------------------------------------------------------------
 
 bool SelfTest(const fs::path& testdata) {
-  SelfTestRun t(testdata, &Analyze);
+  SelfTestRun t(testdata, kLint);
   const FixtureResult r = t.Run("cmlint");
   t.Expect(r.ok && !r.findings.empty(), "seeded tree must report findings");
   std::ostringstream report;
@@ -421,6 +421,6 @@ bool SelfTest(const fs::path& testdata) {
 
 }  // namespace
 
-const Family kLint = {"lint", &Analyze, &SelfTest};
+const Family kLint = {"lint", &Analyze, false, &SelfTest};
 
 }  // namespace checks

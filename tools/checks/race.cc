@@ -768,7 +768,7 @@ bool Analyze(const Tree& tree, std::vector<Finding>* findings, std::string*) {
 // ---------------------------------------------------------------------------
 
 bool SelfTest(const fs::path& testdata) {
-  SelfTestRun t(testdata / "cmrace", &Analyze);
+  SelfTestRun t(testdata / "cmrace", kRace);
 
   // ---- capture: by-ref mutation of a local and of a field through `this`
   // fire; atomic, slot-indexed, and suppressed writes stay quiet. ----------
@@ -878,6 +878,6 @@ bool SelfTest(const fs::path& testdata) {
 
 }  // namespace
 
-const Family kRace = {"race", &Analyze, &SelfTest};
+const Family kRace = {"race", &Analyze, true, &SelfTest};
 
 }  // namespace checks

@@ -31,7 +31,8 @@ namespace fs = std::filesystem;
 
 namespace checks {
 
-bool LoadTree(const fs::path& root, Tree* tree, std::string* error) {
+bool LoadTree(const fs::path& root, bool with_classes, Tree* tree,
+              std::string* error) {
   tree->root = root;
   for (const fs::path& path : analysis::ListSourceFiles(
            root, {"src", "tools", "tests", "bench", "examples"})) {
@@ -41,7 +42,7 @@ bool LoadTree(const fs::path& root, Tree* tree, std::string* error) {
       *error = "cannot read " + rel;
       return false;
     }
-    tree->classes.push_back(analysis::CollectClasses(file));
+    if (with_classes) tree->classes.push_back(analysis::CollectClasses(file));
     tree->files.push_back(std::move(file));
   }
   return true;
@@ -57,8 +58,9 @@ FixtureResult SelfTestRun::Run(const std::string& name) const {
   FixtureResult result;
   Tree tree;
   std::string error;
-  result.ok = LoadTree(fixtures_ / name, &tree, &error) &&
-              analyze_(tree, &result.findings, &error);
+  result.ok = LoadTree(fixtures_ / name, family_.reads_classes, &tree,
+                       &error) &&
+              family_.analyze(tree, &result.findings, &error);
   for (const analysis::Finding& f : result.findings) {
     result.keys.insert(f.rule + ":" + f.file + ":" + std::to_string(f.line));
   }
@@ -138,9 +140,13 @@ int main(int argc, char** argv) {
     return ok ? 0 : 1;
   }
 
+  bool with_classes = false;
+  for (const checks::Family* family : families) {
+    with_classes = with_classes || family->reads_classes;
+  }
   checks::Tree tree;
   std::string error;
-  if (!checks::LoadTree(root, &tree, &error)) {
+  if (!checks::LoadTree(root, with_classes, &tree, &error)) {
     std::cout << "cmcheck: " << error << "\n";
     return 2;
   }
